@@ -76,9 +76,7 @@ from repro.place.placer import Placement, place
 from repro.route.pathfinder import route_context_compiled
 from repro.route.timing import critical_path
 from repro.utils.iters import SizedIterator
-from repro.utils.profile import PhaseProfiler, profiling, span
-from repro.utils.telemetry import Telemetry, collecting
-from repro.utils.telemetry import span as tspan
+from repro.utils.telemetry import Telemetry, collecting, phase_rollup, span
 
 #: PathFinder iteration budget per sweep point.  Matches the legacy
 #: per-point flow (``route_context(..., max_iterations=25)``), so sweep
@@ -87,7 +85,7 @@ POINT_MAX_ITERATIONS = 25
 
 _BACKENDS = ("sequential", "thread", "process")
 
-#: stateless, reusable — spares an allocation on every unprofiled point
+#: stateless, reusable — spares an allocation on every unobserved point
 _NULL_CTX = nullcontext()
 
 
@@ -112,8 +110,8 @@ class SweepJob:
     #: (``None`` = sequential).  Verdicts are bit-identical either way
     #: — the wavefront only parallelises provably independent nets.
     route_workers: int | None = None
-    #: collect a per-point phase profile (wall-clock — never part of
-    #: the row bit-identity contract; see :mod:`repro.utils.profile`)
+    #: attach the per-phase rollup of the point's telemetry spans
+    #: (wall-clock — never part of the row bit-identity contract)
     profile: bool = False
     #: run/trace id when telemetry is on (``None`` = off).  Workers
     #: bind a :class:`~repro.utils.telemetry.Telemetry` collector per
@@ -132,9 +130,9 @@ class SweepPoint:
     wirelength: int = 0
     critical_path: float = 0.0
     iterations: int = 0
-    #: per-phase timings; ``None`` unless profiling was requested
-    #: (wall-clock — omitted from serialization so profiled and
-    #: unprofiled rows stay comparable)
+    #: per-phase timings (:func:`repro.utils.telemetry.phase_rollup`);
+    #: ``None`` unless profiling was requested (wall-clock — omitted
+    #: from serialization so profiled and unprofiled rows compare)
     profile: dict | None = None
     #: telemetry snapshot (spans + counter deltas); ``None`` unless
     #: the job carried a run id — omitted from serialization so
@@ -232,40 +230,36 @@ def evaluate_point(
             from repro.analysis.engine import DEFAULT_ENGINE
             engine = DEFAULT_ENGINE
         c = engine.flat(job.params)
-    prof = PhaseProfiler() if job.profile else None
-    tel = Telemetry(job.telemetry) if job.telemetry else None
-    with profiling(prof) if prof is not None else _NULL_CTX, \
-            collecting(tel) if tel is not None else nullcontext():
+    tel = (Telemetry(job.telemetry) if job.profile or job.telemetry
+           else None)
+    with collecting(tel) if tel is not None else _NULL_CTX:
         if placement is None:
-            with span("point.place"), tspan("point.place"):
+            with span("point.place"):
                 placement = place(
                     job.netlist, job.params, seed=job.seed, effort=job.effort
                 )
         try:
-            with span("point.route"), tspan("point.route"):
+            with span("point.route"):
                 rr = route_context_compiled(
                     c, job.netlist, placement,
                     max_iterations=job.max_iterations,
                     workers=job.route_workers,
                 )
         except RoutingError:
-            return SweepPoint(
-                job.axis, job.value, False,
-                profile=prof.to_dict() if prof is not None else None,
-                metrics=tel.snapshot() if tel is not None else None,
+            point = SweepPoint(job.axis, job.value, False)
+        else:
+            with span("point.timing"):
+                cp = critical_path(c, job.netlist, rr, placement)
+            point = SweepPoint(
+                job.axis, job.value, True, wirelength=rr.wirelength(c),
+                critical_path=cp, iterations=rr.iterations,
             )
-        with span("point.timing"), tspan("point.timing"):
-            cp = critical_path(c, job.netlist, rr, placement)
-    return SweepPoint(
-        job.axis,
-        job.value,
-        True,
-        wirelength=rr.wirelength(c),
-        critical_path=cp,
-        iterations=rr.iterations,
-        profile=prof.to_dict() if prof is not None else None,
-        metrics=tel.snapshot() if tel is not None else None,
-    )
+    if tel is not None:
+        # one collector feeds both blocks the job asked for
+        snapshot = tel.snapshot()
+        point.profile = phase_rollup(snapshot) if job.profile else None
+        point.metrics = snapshot if job.telemetry else None
+    return point
 
 
 def _evaluate_shipped(pair: tuple[SweepJob, Placement]) -> SweepPoint:

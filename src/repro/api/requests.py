@@ -336,8 +336,11 @@ class YieldRequest(_Request):
         object.__setattr__(
             self, "rates", tuple(float(r) for r in self.rates)
         )
-        if any(r < 0 for r in self.rates):
-            raise RequestError(f"defect rates must be >= 0, got {self.rates}")
+        # the negated test also rejects nan, which fails every comparison
+        if not all(0.0 <= r <= 1.0 for r in self.rates):
+            raise RequestError(
+                f"rates must be defect rates in [0, 1], got {self.rates}"
+            )
         if self.trials < 0:
             raise RequestError(f"trials must be >= 0, got {self.trials!r}")
         if self.model not in YIELD_MODELS:

@@ -81,6 +81,34 @@ def _noop_progress(done: int, total: int, item) -> None:
     return None
 
 
+def _observed_rows(cfg: ExecutionConfig, start, progress):
+    """Stream one sweep or yield execution's rows under one telemetry run.
+
+    ``start(run_id)`` launches the runner and returns its sized row
+    iterator; ``run_id`` is a fresh trace id with telemetry on, else
+    ``None``.  Each row's worker counter deltas feed the process-global
+    registry (so ``/v1/metrics`` sums across workers) before
+    ``progress`` sees the row.
+    """
+    run_id = new_run_id() if cfg.telemetry else None
+    rows = start(run_id)
+    total = len(rows)
+    for i, pt in enumerate(rows):
+        if run_id is not None and pt.metrics is not None:
+            GLOBAL.merge_counters(pt.metrics.get("counters"))
+        progress(i + 1, total, pt)
+        yield pt
+
+
+def _result_metrics(req, points) -> dict | None:
+    """The result-level ``metrics`` block of a sweep or yield request:
+    counter sums plus one span track per worker pid, merged from the
+    rows' blocks; ``None`` with telemetry off."""
+    if not req.execution.telemetry:
+        return None
+    return merge_metrics(getattr(pt, "metrics", None) for pt in points)
+
+
 class Session:
     """Facade over the whole system; see the module docstring."""
 
@@ -295,17 +323,10 @@ class Session:
         if req.analytic:
             return SweepResult(sweep=req.what, workload=None, grid=None,
                                backend="sequential", points=tuple(points))
-        metrics = None
-        if req.execution.telemetry:
-            # result-level roll-up: counter sums + one span track per
-            # worker pid, merged from the per-point snapshots
-            metrics = merge_metrics(
-                getattr(pt, "metrics", None) for pt in points
-            )
         return SweepResult(
             sweep=req.what, workload=req.workload,
             grid=(req.grid, req.grid), backend=req.execution.backend,
-            points=tuple(points), metrics=metrics,
+            points=tuple(points), metrics=_result_metrics(req, points),
         )
 
     def _run_sweep(self, req: SweepRequest) -> SweepResult:
@@ -334,38 +355,27 @@ class Session:
             netlist, base, values, seed=cfg.seed,
             effort=cfg.effort_or(POINT_EFFORT),
         )
-        if cfg.route_workers is not None:
-            # per-point wavefront routing (bit-identical to sequential
-            # by construction; route_workers is placement-invisible,
-            # so the placement cache key is untouched)
-            jobs = [replace(job, route_workers=cfg.route_workers)
-                    for job in jobs]
-        if req.profile:
-            jobs = [replace(job, profile=True) for job in jobs]
-        if cfg.telemetry:
-            run_id = new_run_id()
-            jobs = [replace(job, telemetry=run_id) for job in jobs]
         runner = self.sweep_runner(cfg)
-        for i, pt in enumerate(runner.iter_run(jobs)):
-            if cfg.telemetry and pt.metrics is not None:
-                # worker counter deltas feed the process-global
-                # registry, so /v1/metrics sums across workers
-                GLOBAL.merge_counters(pt.metrics.get("counters"))
-            progress(i + 1, len(jobs), pt)
-            yield pt
+
+        def start(run_id):
+            # route_workers: per-point wavefront routing (bit-identical
+            # to sequential by construction; placement-invisible, so
+            # the placement cache key is untouched)
+            return runner.iter_run([
+                replace(job, route_workers=cfg.route_workers,
+                        profile=req.profile, telemetry=run_id)
+                for job in jobs
+            ])
+
+        yield from _observed_rows(cfg, start, progress)
 
     # -- yield -------------------------------------------------------------- #
     def _yield_result(self, req: YieldRequest, points) -> YieldResult:
-        metrics = None
-        if req.execution.telemetry:
-            metrics = merge_metrics(
-                getattr(pt, "metrics", None) for pt in points
-            )
         return YieldResult(
             campaign=req.campaign, workload=req.workload,
             grid=(req.grid, req.grid), model=req.model, trials=req.trials,
             backend=req.execution.backend, points=tuple(points),
-            metrics=metrics,
+            metrics=_result_metrics(req, points),
         )
 
     def _run_yield(self, req: YieldRequest) -> YieldResult:
@@ -382,28 +392,24 @@ class Session:
         )
         runner = self.yield_runner(cfg)
         effort = cfg.effort_or(POINT_EFFORT)
-        run_id = new_run_id() if cfg.telemetry else None
-        if req.spares is not None:
-            total = len(req.spares)
-            points = runner.iter_spare_width_curve(
-                netlist, req.workload, base, list(req.spares), req.rates[0],
-                req.trials, model=req.model, seed=cfg.seed, effort=effort,
-                route_workers=cfg.route_workers, profile=req.profile,
-                telemetry=run_id,
-            )
-        else:
-            total = len(req.rates)
-            points = runner.iter_campaign(
+
+        def start(run_id):
+            if req.spares is not None:
+                return runner.iter_spare_width_curve(
+                    netlist, req.workload, base, list(req.spares),
+                    req.rates[0], req.trials, model=req.model,
+                    seed=cfg.seed, effort=effort,
+                    route_workers=cfg.route_workers, profile=req.profile,
+                    telemetry=run_id,
+                )
+            return runner.iter_campaign(
                 netlist, req.workload, base, list(req.rates), req.trials,
                 model=req.model, seed=cfg.seed, effort=effort,
                 route_workers=cfg.route_workers, profile=req.profile,
                 telemetry=run_id,
             )
-        for i, pt in enumerate(points):
-            if run_id is not None and pt.metrics is not None:
-                GLOBAL.merge_counters(pt.metrics.get("counters"))
-            progress(i + 1, total, pt)
-            yield pt
+
+        yield from _observed_rows(cfg, start, progress)
 
     # -- area / reorder ----------------------------------------------------- #
     def _run_area(self, req: AreaRequest) -> AreaResult:

@@ -54,7 +54,7 @@ from repro.route.pathfinder import (
     route_context_warm,
 )
 from repro.route.timing import critical_path, route_net_delays
-from repro.utils.profile import span
+from repro.utils.telemetry import span
 
 #: Tile coordinates are encoded as ``x * _COORD_BASE + y`` for the
 #: vectorised membership tests; fabric dimensions are far below this.

@@ -38,13 +38,13 @@ import threading
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from repro.utils.iters import SizedIterator
-from repro.utils.profile import PhaseProfiler, merge_profiles, profiling, span
-from repro.utils.telemetry import Telemetry, collecting, merge_metrics
-from repro.utils.telemetry import span as tspan
+from repro.utils.telemetry import (Telemetry, collecting, merge_metrics,
+                                   phase_rollup, span)
 
 from repro.arch.params import ArchParams
 from repro.netlist.netlist import Netlist
@@ -67,7 +67,7 @@ from repro.reliability.repair import (
 from repro.analysis.sweep import POINT_MAX_ITERATIONS, SweepJob, SweepRunner
 
 
-#: stateless, reusable — spares an allocation on every unprofiled trial
+#: stateless, reusable — spares an allocation on every unobserved trial
 _NULL_CTX = nullcontext()
 
 
@@ -102,8 +102,8 @@ class YieldTrialJob:
     #: (``None`` = sequential).  Outcomes are bit-identical either way
     #: — the wavefront only parallelises provably independent nets.
     route_workers: int | None = None
-    #: collect a per-trial phase profile (wall-clock — never part of
-    #: the row bit-identity contract; see :mod:`repro.utils.profile`)
+    #: attach the per-phase rollup of the trial's telemetry spans
+    #: (wall-clock — never part of the row bit-identity contract)
     profile: bool = False
     #: run/trace id when telemetry is on (``None`` = off); the trial's
     #: span buffer and counter deltas ride back in the result
@@ -118,7 +118,8 @@ class TrialResult:
     outcome: RepairOutcome
     wirelength_overhead: float = 0.0
     critical_path_overhead: float = 0.0
-    profile: dict | None = None
+    #: the trial's telemetry snapshot; ``None`` unless the job asked
+    #: for a profile or telemetry (the cell folds both from it)
     metrics: dict | None = None
 
     def to_dict(self) -> dict:
@@ -126,15 +127,13 @@ class TrialResult:
         d["trial"] = self.trial
         d["wirelength_overhead"] = self.wirelength_overhead
         d["critical_path_overhead"] = self.critical_path_overhead
-        if self.profile is not None:
-            d["profile"] = self.profile
         if self.metrics is not None:
             d["metrics"] = self.metrics
         return d
 
 
 def evaluate_trial(
-    job: YieldTrialJob, golden: GoldenMapping, c=None, dm=None
+    job: YieldTrialJob, golden: GoldenMapping, c=None, load_defects=None
 ) -> TrialResult:
     """Sample the die, run the repair ladder, measure the cost.
 
@@ -142,26 +141,28 @@ def evaluate_trial(
     from the per-process ``flat_rrg_for`` cache (no per-trial RRG
     build), and the defect sample depends only on the job's seed.  An
     explicit ``c`` (e.g. a shared-memory attached substrate) skips the
-    cache entirely; an explicit ``dm`` (e.g. rebuilt from a published
-    defect batch) skips sampling — sampling is a pure function of
-    ``(seed, substrate)``, so the outcome is identical either way.
+    cache entirely; an explicit ``load_defects()`` (e.g. rebuilding
+    the map from a published defect batch) replaces sampling, which
+    is a pure function of ``(seed, substrate)`` — the outcome is
+    identical either way, and both are timed as ``trial.sample``.
     """
     if c is None:
         from repro.arch.compiled import flat_rrg_for
 
         c = flat_rrg_for(job.params)
-    prof = PhaseProfiler() if job.profile else None
-    tel = Telemetry(job.telemetry) if job.telemetry else None
-    with profiling(prof) if prof is not None else _NULL_CTX, \
-            collecting(tel) if tel is not None else nullcontext():
-        if dm is None:
-            with span("trial.sample"), tspan("trial.sample"):
+    tel = (Telemetry(job.telemetry) if job.profile or job.telemetry
+           else None)
+    with collecting(tel) if tel is not None else _NULL_CTX:
+        with span("trial.sample"):
+            if load_defects is not None:
+                dm = load_defects()
+            else:
                 dm = DefectMap.sample(
                     c, job.defect_rate, seed=job.defect_seed, model=job.model,
                     cluster_radius=job.cluster_radius,
                     cluster_size=job.cluster_size,
                 )
-        with tspan("trial.repair"):
+        with span("trial.repair"):
             outcome = repair_mapping(
                 c, job.netlist, golden, dm,
                 seed=job.seed, effort=job.effort,
@@ -171,7 +172,6 @@ def evaluate_trial(
         wl, cp = outcome.overheads(golden)
     return TrialResult(
         job.trial, outcome, wl, cp,
-        profile=prof.to_dict() if prof is not None else None,
         metrics=tel.snapshot() if tel is not None else None,
     )
 
@@ -207,11 +207,13 @@ def _evaluate_trial_shared(item) -> TrialResult:
     c = substrate_handle.attach_cached()
     if job.netlist is None:
         job = replace(job, netlist=netlist)
-    dm = None
+    load_defects = None
     if defect_handle is not None:
-        batch = defect_handle.attach_cached()
-        dm = batch.map_for(c, batch_index, job.defect_rate, job.defect_seed)
-    return evaluate_trial(job, golden, c=c, dm=dm)
+        load_defects = partial(
+            defect_handle.attach_cached().map_for,
+            c, batch_index, job.defect_rate, job.defect_seed,
+        )
+    return evaluate_trial(job, golden, c=c, load_defects=load_defects)
 
 
 @dataclass
@@ -230,9 +232,9 @@ class YieldPoint:
     mean_critical_path_overhead: float = 0.0
     spare_tracks: int = 0
     golden_routed: bool = True
-    #: merged per-phase timings across the cell's trials; ``None``
-    #: unless profiling was requested (wall-clock — omitted from
-    #: serialization so profiled and unprofiled rows stay comparable)
+    #: :func:`repro.utils.telemetry.phase_rollup` of the cell's trial
+    #: spans; ``None`` unless profiling was requested (wall-clock —
+    #: omitted from serialization so profiled and unprofiled rows compare)
     profile: dict | None = None
     #: merged telemetry (spans per worker pid + counter sums) across
     #: the cell's trials; ``None`` unless telemetry was on — omitted
@@ -289,8 +291,14 @@ def _aggregate(
     params: ArchParams,
     results: Sequence[TrialResult],
     spare_tracks: int = 0,
+    profile: bool = False,
+    telemetry: bool = False,
 ) -> YieldPoint:
-    """Fold N trial results into one :class:`YieldPoint` row."""
+    """Fold N trial results into one :class:`YieldPoint` row.
+
+    The trials' telemetry snapshots merge into one block; ``profile``
+    attaches its per-phase rollup, ``telemetry`` the block itself.
+    """
     n = len(results)
     histogram = {level.name.lower(): 0 for level in RepairLevel}
     routed = 0
@@ -302,6 +310,7 @@ def _aggregate(
             routed += 1
             wl += tr.wirelength_overhead
             cp += tr.critical_path_overhead
+    merged = merge_metrics(tr.metrics for tr in results)
     return YieldPoint(
         workload=workload,
         model=model,
@@ -315,8 +324,8 @@ def _aggregate(
         mean_critical_path_overhead=cp / routed if routed else 0.0,
         spare_tracks=spare_tracks,
         golden_routed=True,
-        profile=merge_profiles(tr.profile for tr in results),
-        metrics=merge_metrics(tr.metrics for tr in results),
+        profile=phase_rollup(merged) if profile else None,
+        metrics=merged if telemetry else None,
     )
 
 
@@ -503,7 +512,8 @@ class YieldRunner:
             cell.append(tr)
             if len(cell) == trials:
                 yield _aggregate(workload, model, float(rates[pi]), base,
-                                 cell, spare_tracks)
+                                 cell, spare_tracks, profile,
+                                 telemetry is not None)
                 cell = []
                 pi += 1
 

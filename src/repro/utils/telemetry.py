@@ -10,15 +10,16 @@ Two cooperating pieces, both stdlib-only:
   worker snapshots is plain string-keyed summation.
 
 - :class:`Telemetry` — a per-run span/counter collector bound
-  ambiently (thread-local) around one unit of work, mirroring
-  :mod:`repro.utils.profile`.  Worker processes cannot share the
-  parent's registry, so each sweep point / yield trial binds a fresh
-  collector, and its :meth:`~Telemetry.snapshot` (span buffer +
-  counter deltas) rides back to the parent *inside* the result row —
-  the same channel ``profile`` blocks use — where
-  :func:`merge_metrics` folds them together and the parent registry
-  absorbs the counters.  This also fixes the PR 7 gap where
-  process-backend ``--profile`` spans never left the worker.
+  ambiently (thread-local) around one unit of work.  Worker processes
+  cannot share the parent's registry, so each sweep point / yield
+  trial binds a fresh collector, and its :meth:`~Telemetry.snapshot`
+  (span buffer + counter deltas) rides back to the parent *inside*
+  the result row, where :func:`merge_metrics` folds them together and
+  the parent registry absorbs the counters.
+
+This is the only span system: the ``profile`` block on sweep and
+yield rows is :func:`phase_rollup` of the same spans — wall-clock
+seconds and call counts per phase.
 
 The ambient helpers (:func:`count`, :func:`span`, ...) short-circuit
 on a single thread-local read when no collector is bound, so
@@ -50,6 +51,7 @@ __all__ = [
     "current_collector",
     "merge_metrics",
     "new_run_id",
+    "phase_rollup",
     "span",
 ]
 
@@ -198,7 +200,7 @@ class Telemetry:
     __slots__ = ("run_id", "job_id", "pid", "counters", "spans",
                  "_origin", "_tids")
 
-    def __init__(self, run_id: str, job_id: str | None = None) -> None:
+    def __init__(self, run_id: str | None, job_id: str | None = None) -> None:
         self.run_id = run_id
         self.job_id = job_id
         self.pid = os.getpid()
@@ -245,7 +247,7 @@ class Telemetry:
         }
 
 
-# -- ambient binding (mirrors repro.utils.profile) ---------------------- #
+# -- ambient binding ---------------------------------------------------- #
 _TLS = threading.local()
 
 
@@ -295,8 +297,7 @@ def merge_metrics(blocks):
     leaf ``{"run_id", "pid", "counters", "spans"}`` snapshots and
     merged ``{"run_id", "counters", "workers": [...]}`` blocks (so
     per-point merges compose into per-campaign merges).  ``None``
-    entries are skipped; returns ``None`` when nothing was collected,
-    matching :func:`repro.utils.profile.merge_profiles`.
+    entries are skipped; returns ``None`` when nothing was collected.
     """
     counters: dict = {}
     workers: dict = {}
@@ -325,6 +326,30 @@ def merge_metrics(blocks):
             {"pid": pid, "spans": spans}
             for pid, spans in sorted(workers.items())
         ],
+    }
+
+
+def phase_rollup(block) -> dict | None:
+    """Per-phase totals of a leaf snapshot or merged block's spans.
+
+    ``{phase: {"seconds": s, "calls": n}}`` with phases sorted by
+    name — the ``profile`` block of sweep and yield rows.  ``None``
+    when the block is empty or holds no spans.
+    """
+    if not block:
+        return None
+    tracks = block["workers"] if "workers" in block else (block,)
+    dur_us: dict = {}
+    calls: dict = {}
+    for track in tracks:
+        for name, _start, dur, _tid in track.get("spans") or ():
+            dur_us[name] = dur_us.get(name, 0) + dur
+            calls[name] = calls.get(name, 0) + 1
+    if not calls:
+        return None
+    return {
+        name: {"seconds": dur_us[name] / 1e6, "calls": calls[name]}
+        for name in sorted(calls)
     }
 
 

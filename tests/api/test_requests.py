@@ -152,6 +152,17 @@ class TestRequestValidation:
         with pytest.raises(RequestError, match="rates"):
             YieldRequest(rates=(-0.1,))
 
+    @pytest.mark.parametrize(
+        "rate", [float("nan"), float("inf"), -0.1, 1.5],
+        ids=["nan", "inf", "negative", "above-one"],
+    )
+    def test_rate_outside_unit_interval(self, rate):
+        with pytest.raises(RequestError, match="rates"):
+            YieldRequest(rates=(0.01, rate), grid=5, trials=2)
+
+    def test_rate_of_one_accepted(self):
+        assert YieldRequest(rates=(1.0,), grid=5, trials=2).rates == (1.0,)
+
     def test_empty_rates(self):
         with pytest.raises(RequestError, match="at least one"):
             YieldRequest(rates=())

@@ -1,6 +1,7 @@
 """Telemetry threads end-to-end: rows unchanged, spans cross processes."""
 
 import os
+from dataclasses import replace
 
 from repro.api import ExecutionConfig, Session, SweepRequest, YieldRequest
 from repro.utils.telemetry import GLOBAL, chrome_trace
@@ -75,3 +76,45 @@ class TestProcessBackendTelemetry:
         for p in d_p:
             p.pop("metrics", None)
         assert d_p == [p.to_dict() for p in seq.points]
+
+
+class TestProfilePhaseNames:
+    """The phase names that consumers of ``profile`` blocks read."""
+
+    #: ladder rung -> the phase that rung's repair runs in
+    RUNG_PHASES = {"route_around": "repair.route_around",
+                   "reroute": "repair.reroute",
+                   "replace": "repair.replace"}
+
+    def test_phase_names_pinned_across_backends(self):
+        seq = ExecutionConfig(effort=0.2)
+        proc = ExecutionConfig(effort=0.2, backend="process", workers=2)
+        yield_req = YieldRequest(workload="adder", grid=5, width=7,
+                                 rates=(0.03, 0.08), trials=4, profile=True)
+        sweep_req = SweepRequest(what="channel-width", grid=5,
+                                 values=VALUES, profile=True)
+        session = Session()
+        yield_seq = session.run(replace(yield_req, execution=seq))
+
+        # a campaign that reaches the ladder carries the rungs it ran
+        reached = set()
+        for pt in yield_seq.points:
+            phases = set(pt.profile)
+            assert {"trial.sample", "trial.repair",
+                    "repair.detect"} <= phases
+            for rung, phase in self.RUNG_PHASES.items():
+                if pt.repair_histogram[rung]:
+                    reached.add(rung)
+                    assert phase in phases, (rung, sorted(phases))
+        assert reached, "campaign never left the NONE rung"
+
+        # the process backend names the same phases as sequential
+        sweep_seq = session.run(replace(sweep_req, execution=seq))
+        assert all({"point.route", "point.timing"} <= set(pt.profile)
+                   for pt in sweep_seq.points)
+        with Session() as workers:
+            yield_proc = workers.run(replace(yield_req, execution=proc))
+            sweep_proc = workers.run(replace(sweep_req, execution=proc))
+        for a, b in ((yield_seq, yield_proc), (sweep_seq, sweep_proc)):
+            assert [set(pt.profile) for pt in a.points] == \
+                [set(pt.profile) for pt in b.points]

@@ -1,121 +1,69 @@
-"""Phase profiler: span accounting, thread isolation, merging."""
+"""The ``profile`` block: per-phase rollup of telemetry spans and the
+ambient binding that feeds it."""
 
-import threading
+import json
 
-import pytest
-
-from repro.utils.profile import (
-    PhaseProfiler,
-    count,
-    current_profiler,
-    merge_profiles,
-    profiling,
+from repro.utils.telemetry import (
+    Telemetry,
+    collecting,
+    current_collector,
+    phase_rollup,
     span,
 )
 
 
+def _calls(tel):
+    return {name: v["calls"]
+            for name, v in phase_rollup(tel.snapshot()).items()}
+
+
 class TestPhaseProfiler:
     def test_span_accumulates_seconds_and_calls(self):
-        prof = PhaseProfiler()
-        with prof.span("a"):
-            pass
-        with prof.span("a"):
-            pass
-        with prof.span("b"):
-            pass
-        assert prof.calls == {"a": 2, "b": 1}
-        assert prof.seconds["a"] >= 0.0
-        assert set(prof.seconds) == {"a", "b"}
-
-    def test_span_records_on_exception(self):
-        prof = PhaseProfiler()
-        with pytest.raises(ValueError):
-            with prof.span("boom"):
-                raise ValueError("x")
-        assert prof.calls == {"boom": 1}
-
-    def test_counters_ride_to_dict(self):
-        prof = PhaseProfiler()
-        prof.count("nets", 3)
-        prof.count("nets")
-        with prof.span("route"):
-            pass
-        d = prof.to_dict()
-        assert d["nets"] == {"seconds": 0.0, "calls": 0, "count": 4}
-        assert d["route"]["calls"] == 1
+        tel = Telemetry(None)
+        for name in ("a", "b", "a"):
+            with tel.span(name):
+                pass
+        rolled = phase_rollup(tel.snapshot())
+        assert _calls(tel) == {"a": 2, "b": 1}
+        assert rolled["a"]["seconds"] >= 0.0
+        assert set(rolled) == {"a", "b"}
 
     def test_to_dict_sorted_and_json_plain(self):
-        prof = PhaseProfiler()
+        tel = Telemetry(None)
         for name in ("z", "a", "m"):
-            with prof.span(name):
+            with tel.span(name):
                 pass
-        assert list(prof.to_dict()) == ["a", "m", "z"]
+        rolled = phase_rollup(tel.snapshot())
+        assert list(rolled) == ["a", "m", "z"]
+        assert json.loads(json.dumps(rolled)) == rolled
 
 
 class TestAmbientBinding:
     def test_no_profiler_bound_by_default(self):
-        assert current_profiler() is None
+        assert current_collector() is None
 
     def test_span_is_noop_without_profiler(self):
         with span("anything"):
-            pass  # must not raise, must not create a profiler
-        assert current_profiler() is None
+            pass  # must not raise, must not bind a collector
+        assert current_collector() is None
 
     def test_profiling_binds_and_restores(self):
-        prof = PhaseProfiler()
-        with profiling(prof) as bound:
-            assert bound is prof
-            assert current_profiler() is prof
+        tel = Telemetry(None)
+        with collecting(tel) as bound:
+            assert bound is tel
+            assert current_collector() is tel
             with span("phase"):
                 pass
-        assert current_profiler() is None
-        assert prof.calls == {"phase": 1}
-
-    def test_profiling_creates_fresh_profiler_when_none(self):
-        with profiling() as prof:
-            assert isinstance(prof, PhaseProfiler)
-            count("k")
-        assert prof.counters == {"k": 1}
+        assert current_collector() is None
+        assert _calls(tel) == {"phase": 1}
 
     def test_nested_binding_restores_outer(self):
-        outer, inner = PhaseProfiler(), PhaseProfiler()
-        with profiling(outer):
-            with profiling(inner):
+        outer, inner = Telemetry("o"), Telemetry("i")
+        with collecting(outer):
+            with collecting(inner):
                 with span("in"):
                     pass
             with span("out"):
                 pass
-        assert inner.calls == {"in": 1}
-        assert outer.calls == {"out": 1}
-
-    def test_binding_is_thread_local(self):
-        prof = PhaseProfiler()
-        seen: list = []
-
-        def worker():
-            seen.append(current_profiler())
-            with span("other-thread"):
-                pass
-
-        with profiling(prof):
-            t = threading.Thread(target=worker)
-            t.start()
-            t.join()
-        assert seen == [None]  # the worker thread never saw our binding
-        assert prof.calls == {}
-
-
-class TestMergeProfiles:
-    def test_merges_seconds_calls_and_counts(self):
-        a = {"route": {"seconds": 1.0, "calls": 2},
-             "nets": {"seconds": 0.0, "calls": 0, "count": 5}}
-        b = {"route": {"seconds": 0.5, "calls": 1},
-             "place": {"seconds": 2.0, "calls": 1}}
-        merged = merge_profiles([a, None, b, {}])
-        assert merged["route"] == {"seconds": 1.5, "calls": 3}
-        assert merged["place"] == {"seconds": 2.0, "calls": 1}
-        assert merged["nets"]["count"] == 5
-
-    def test_all_empty_merges_to_none(self):
-        assert merge_profiles([]) is None
-        assert merge_profiles([None, {}, None]) is None
+        assert _calls(inner) == {"in": 1}
+        assert _calls(outer) == {"out": 1}

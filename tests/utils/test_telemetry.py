@@ -3,6 +3,8 @@
 import os
 import threading
 
+import pytest
+
 from repro.utils.telemetry import (
     GLOBAL,
     MetricsRegistry,
@@ -13,6 +15,7 @@ from repro.utils.telemetry import (
     current_collector,
     merge_metrics,
     new_run_id,
+    phase_rollup,
     series_key,
     span,
     split_series,
@@ -113,6 +116,14 @@ class TestTelemetryCollector:
         assert name == "work" and tid == 1
         assert dur_us >= 0 and start_us > 0
 
+    def test_span_recorded_when_body_raises(self):
+        tel = Telemetry("run-1")
+        with collecting(tel):
+            with pytest.raises(ValueError):
+                with span("boom"):
+                    raise ValueError("x")
+        assert [s[0] for s in tel.spans] == ["boom"]
+
     def test_thread_ids_are_small_and_stable(self):
         tel = Telemetry("run-1")
         with tel.span("a"):
@@ -159,6 +170,22 @@ class TestAmbientBinding:
         assert inner.counters == {"n": 1}
         assert outer.counters == {"n": 1}
 
+    def test_thread_started_inside_sees_no_collector(self):
+        tel = Telemetry("run-1")
+        seen: list = []
+
+        def worker():
+            seen.append(current_collector())
+            with span("other-thread"):
+                pass
+
+        with collecting(tel):
+            t = threading.Thread(target=worker)
+            t.start()
+            t.join()
+        assert seen == [None]  # the worker thread never saw our binding
+        assert tel.spans == []
+
 
 class TestMergeMetrics:
     def _leaf(self, pid, counters, spans=()):
@@ -187,6 +214,42 @@ class TestMergeMetrics:
         total = merge_metrics([first, second])
         assert total["counters"] == {"pops": 7}
         assert [w["pid"] for w in total["workers"]] == [11, 22]
+
+
+class TestPhaseRollup:
+    def _leaf(self, pid, spans):
+        return {"run_id": "run-1", "pid": pid, "counters": {},
+                "spans": list(spans)}
+
+    def test_sums_seconds_and_calls_per_phase_sorted(self):
+        rolled = phase_rollup(self._leaf(11, [
+            ["z", 0, 1_000_000, 1], ["a", 5, 250_000, 1],
+            ["z", 9, 500_000, 2], ["m", 20, 0, 1],
+        ]))
+        assert list(rolled) == ["a", "m", "z"]
+        assert rolled["z"] == {"seconds": 1.5, "calls": 2}
+        assert rolled["a"] == {"seconds": 0.25, "calls": 1}
+        assert rolled["m"] == {"seconds": 0.0, "calls": 1}
+
+    def test_rollup_of_merged_snapshots_sums_across_them(self):
+        merged = merge_metrics([
+            self._leaf(11, [["route", 0, 1_000_000, 1]]),
+            None,
+            self._leaf(22, [["route", 3, 500_000, 1],
+                            ["place", 1, 2_000_000, 1]]),
+            self._leaf(11, [["route", 7, 250_000, 1]]),
+        ])
+        assert phase_rollup(merged) == {
+            "place": {"seconds": 2.0, "calls": 1},
+            "route": {"seconds": 1.75, "calls": 3},
+        }
+
+    def test_empty_input_rolls_up_to_none(self):
+        assert phase_rollup(None) is None
+        assert phase_rollup({}) is None
+        assert phase_rollup(merge_metrics([])) is None
+        assert phase_rollup(self._leaf(11, [])) is None
+        assert phase_rollup(Telemetry(None).snapshot()) is None
 
 
 class TestChromeTrace:
