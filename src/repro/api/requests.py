@@ -33,6 +33,16 @@ ANALYTIC_AXES = ("change-rate", "contexts")
 #: Spatial defect models a yield campaign accepts.
 YIELD_MODELS = ("uniform", "clustered")
 
+#: Upper bounds on a yield campaign's size fields (inclusive).  A yield
+#: request arrives from any HTTP client, and its work grows with the
+#: grid area, the channel width, the trial count and the spare tracks
+#: each spare-width point adds, so each gets a finite cap far above
+#: every campaign the repo itself runs.
+YIELD_MAX_GRID = 32
+YIELD_MAX_WIDTH = 64
+YIELD_MAX_TRIALS = 4096
+YIELD_MAX_SPARE_TRACKS = 64
+
 #: Default sweep values per axis (``values=None`` resolves to these).
 SWEEP_DEFAULTS = {
     "change-rate": (0.0, 0.01, 0.03, 0.05, 0.1, 0.2, 0.5),
@@ -186,6 +196,11 @@ def _check_fraction(name: str, v: float) -> None:
         raise RequestError(f"{name} must be in [0, 1], got {v!r}")
 
 
+def _check_size(name: str, v: int, lo: int, hi: int) -> None:
+    if not lo <= v <= hi:
+        raise RequestError(f"{name} must be in [{lo}, {hi}], got {v!r}")
+
+
 @dataclass(frozen=True)
 class MapRequest(_Request):
     """Map one named workload end to end (place + route + verify)."""
@@ -327,10 +342,8 @@ class YieldRequest(_Request):
                 f"profile must be a bool, got {self.profile!r}"
             )
         check_workload(self.workload)
-        if self.grid < 1:
-            raise RequestError(f"grid must be >= 1, got {self.grid!r}")
-        if self.width < 1:
-            raise RequestError(f"width must be >= 1, got {self.width!r}")
+        _check_size("grid", self.grid, 1, YIELD_MAX_GRID)
+        _check_size("width", self.width, 1, YIELD_MAX_WIDTH)
         if not self.rates:
             raise RequestError("rates must name at least one defect rate")
         object.__setattr__(
@@ -341,8 +354,7 @@ class YieldRequest(_Request):
             raise RequestError(
                 f"rates must be defect rates in [0, 1], got {self.rates}"
             )
-        if self.trials < 0:
-            raise RequestError(f"trials must be >= 0, got {self.trials!r}")
+        _check_size("trials", self.trials, 0, YIELD_MAX_TRIALS)
         if self.model not in YIELD_MODELS:
             raise RequestError(
                 f"model must be one of {YIELD_MODELS}, got {self.model!r}"
@@ -353,10 +365,8 @@ class YieldRequest(_Request):
             object.__setattr__(
                 self, "spares", tuple(int(s) for s in self.spares)
             )
-            if any(s < 0 for s in self.spares):
-                raise RequestError(
-                    f"spare widths must be >= 0, got {self.spares}"
-                )
+            for s in self.spares:
+                _check_size("spare widths", s, 0, YIELD_MAX_SPARE_TRACKS)
 
     @property
     def campaign(self) -> str:

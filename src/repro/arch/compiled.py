@@ -114,6 +114,8 @@ class CompiledRRG:
         "_switch_edge_ids",
         "_edge_src",
         "_logic_tiles",
+        "_tile_endpoints",
+        "_neighbourhoods",
         "_wire_len",
     )
 
@@ -209,6 +211,10 @@ class CompiledRRG:
         self._switch_edge_ids: np.ndarray | None = None
         self._edge_src: np.ndarray | None = None
         self._logic_tiles: tuple[tuple[int, int], ...] | None = None
+        self._tile_endpoints: dict[tuple[int, int], list[int]] | None = None
+        self._neighbourhoods: dict[
+            tuple[str, int], tuple[np.ndarray, ...]
+        ] = {}
         self._wire_len: np.ndarray | None = None
 
     # -- defect-candidate indexes (reliability subsystem) ------------------- #
@@ -267,6 +273,64 @@ class CompiledRRG:
                 sorted({(x, y) for (x, y, _pin) in self.lb_source})
             )
         return self._logic_tiles
+
+    def tile_endpoint_ids(self) -> dict[tuple[int, int], list[int]]:
+        """Per logic tile, the node ids of its SOURCE and SINK pins,
+        cached.
+
+        A logic-site defect masks exactly these nodes, so lowering a
+        die's bad tiles is one lookup per tile instead of a scan of
+        both pin indexes.
+        """
+        if self._tile_endpoints is None:
+            ends: dict[tuple[int, int], list[int]] = {}
+            for index in (self.lb_source, self.lb_sink):
+                for (x, y, _pin), nid in index.items():
+                    ends.setdefault((x, y), []).append(nid)
+            self._tile_endpoints = ends
+        return self._tile_endpoints
+
+    def defect_neighbourhoods(
+        self, kind: str, radius: int
+    ) -> tuple[np.ndarray, ...]:
+        """Clustered-defect neighbourhoods of one candidate set, cached
+        per ``(kind, radius)``.
+
+        ``kind`` names the candidate set: ``"wire"``
+        (:meth:`wire_node_ids`, placed at their low corner),
+        ``"switch"`` (:meth:`switch_edge_ids`, placed at their source
+        node) or ``"tile"`` (:meth:`logic_tiles`).  Entry
+        ``cx * (rows + 1) + cy`` holds the ascending positions into that
+        set of every candidate within Manhattan distance ``radius`` of
+        the cluster centre ``(cx, cy)``, for every centre in
+        ``[0, cols] x [0, rows]`` — so one cluster draw costs a lookup
+        the size of its neighbourhood, not a scan of the whole fabric.
+        Positions are ``int32`` (half the footprint of ``int64``).
+        """
+        key = (kind, radius)
+        table = self._neighbourhoods.get(key)
+        if table is None:
+            if kind == "wire":
+                ids = self.wire_node_ids()
+                x, y = self.xlo_np[ids], self.ylo_np[ids]
+            elif kind == "switch":
+                src = self.edge_src_ids()[self.switch_edge_ids()]
+                x, y = self.xlo_np[src], self.ylo_np[src]
+            elif kind == "tile":
+                x, y = np.array(self.logic_tiles(), dtype=np.int64).T
+            else:
+                raise ValueError(f"unknown defect candidate kind {kind!r}")
+            # one O(n) pass per centre: no (centres x n) intermediate
+            entries = []
+            for cx in range(self.params.cols + 1):
+                dx = np.abs(x - cx)
+                for cy in range(self.params.rows + 1):
+                    near = np.flatnonzero(dx + np.abs(y - cy) <= radius)
+                    entries.append(near.astype(np.int32))
+            table = tuple(entries)
+            # concurrent builders produce equal tables; keep the first
+            table = self._neighbourhoods.setdefault(key, table)
+        return table
 
     def wire_length_weights(self) -> np.ndarray:
         """Per-node wirelength contribution (segment length for wires,

@@ -245,7 +245,11 @@ class SharedSubstrate:
         c._logic_tiles = tuple(
             (int(x), int(y)) for x, y in views["logic_tiles"].tolist()
         )
-        c._wire_len = None  # derived lazily per process (small)
+        # derived lazily per process: small, or cheap to rebuild, and
+        # only trials that sample locally ever build them
+        c._wire_len = None
+        c._tile_endpoints = None
+        c._neighbourhoods = {}
         return c
 
     def attach_cached(self) -> CompiledRRG:

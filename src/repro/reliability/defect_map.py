@@ -29,8 +29,11 @@ Two spatial models share the same expected defect count per category:
   observation the Monte Carlo campaigns can reproduce).
 
 Maps are cheap per trial: candidate index arrays are cached on the
-substrate (see ``CompiledRRG.wire_node_ids`` and friends), so sampling
-is a handful of vectorised draws, not a graph walk.
+substrate (see ``CompiledRRG.wire_node_ids`` and friends).  A uniform
+die is one vectorised draw per category; a clustered die is one table
+lookup per cluster, against the per-substrate neighbourhood tables of
+``CompiledRRG.defect_neighbourhoods`` (built once per candidate set and
+radius), so a cluster costs its neighbourhood, not a fabric scan.
 """
 
 from __future__ import annotations
@@ -93,37 +96,28 @@ class DefectMap:
         self.model = model
         self.rate = rate
         self.seed = seed
-        self.wire_defects = tuple(sorted(int(n) for n in wire_defects))
-        self.switch_defects = tuple(sorted(int(e) for e in switch_defects))
+        self.wire_defects = tuple(sorted(map(int, wire_defects)))
+        self.switch_defects = tuple(sorted(map(int, switch_defects)))
         self.bad_tiles = frozenset(
             Coord(int(x), int(y)) for x, y in bad_tiles
         )
 
         node_ok = np.ones(c.n_nodes, dtype=bool)
         if self.wire_defects:
-            node_ok[np.asarray(self.wire_defects, dtype=np.int64)] = False
+            node_ok[list(self.wire_defects)] = False
         if self.bad_tiles:
             # a dead LB loses its logical endpoints; routes never pass
             # *through* SOURCE/SINK nodes, so this only bites nets that
             # terminate at the dead site (i.e. a blocked placement)
-            dead = {(t.x, t.y) for t in self.bad_tiles}
-            for index in (c.lb_source, c.lb_sink):
-                for (x, y, _pin), nid in index.items():
-                    if (x, y) in dead:
-                        node_ok[nid] = False
+            ends = c.tile_endpoint_ids()
+            dead = [
+                n for t in self.bad_tiles for n in ends.get((t.x, t.y), ())
+            ]
+            node_ok[dead] = False
         self.node_ok = node_ok
         self._node_ok_bytes: bytes | None = None
         self._edge_ok_bytes: bytes | None = None
-
-        if self.switch_defects:
-            eidx = np.asarray(self.switch_defects, dtype=np.int64)
-            src = c.edge_src_ids()
-            dst = c.edge_dst
-            self.bad_edge_pairs = frozenset(
-                (int(src[e]), int(dst[e])) for e in eidx.tolist()
-            )
-        else:
-            self.bad_edge_pairs = frozenset()
+        self.bad_edge_pairs = _edge_pairs(c, self.switch_defects)
 
     @property
     def node_ok_bytes(self) -> bytes:
@@ -175,23 +169,15 @@ class DefectMap:
         dm.model = model
         dm.rate = rate
         dm.seed = seed
-        dm.wire_defects = tuple(sorted(int(n) for n in wire_defects))
-        dm.switch_defects = tuple(sorted(int(e) for e in switch_defects))
+        dm.wire_defects = tuple(sorted(map(int, wire_defects)))
+        dm.switch_defects = tuple(sorted(map(int, switch_defects)))
         dm.bad_tiles = frozenset(
             Coord(int(x), int(y)) for x, y in bad_tiles
         )
         dm.node_ok = node_ok
         dm._node_ok_bytes = None
         dm._edge_ok_bytes = None
-        if dm.switch_defects:
-            eidx = np.asarray(dm.switch_defects, dtype=np.int64)
-            src = c.edge_src_ids()
-            dst = c.edge_dst
-            dm.bad_edge_pairs = frozenset(
-                (int(src[e]), int(dst[e])) for e in eidx.tolist()
-            )
-        else:
-            dm.bad_edge_pairs = frozenset()
+        dm.bad_edge_pairs = _edge_pairs(c, dm.switch_defects)
         return dm
 
     # -- construction ------------------------------------------------------- #
@@ -238,24 +224,17 @@ class DefectMap:
             tile_draw = rng.random(len(tiles))
             tile_hit = [t for t, u in zip(tiles, tile_draw) if u < l_rate]
         else:
-            xlo, ylo = c.xlo_np, c.ylo_np
-            wire_hit = _clustered_pick(
-                rng, wires, xlo[wires], ylo[wires], w_rate,
-                c.params, cluster_radius, cluster_size,
-            )
-            esrc = c.edge_src_ids()[switches]
-            switch_hit = _clustered_pick(
-                rng, switches, xlo[esrc], ylo[esrc], s_rate,
-                c.params, cluster_radius, cluster_size,
-            )
-            tile_ids = np.arange(len(tiles), dtype=np.int64)
-            tx = np.array([t[0] for t in tiles], dtype=np.int64)
-            ty = np.array([t[1] for t in tiles], dtype=np.int64)
-            tile_hit_ids = _clustered_pick(
-                rng, tile_ids, tx, ty, l_rate,
-                c.params, cluster_radius, cluster_size,
-            )
-            tile_hit = [tiles[i] for i in tile_hit_ids.tolist()]
+            def pick(kind, n, kind_rate):
+                return _clustered_pick(
+                    rng, n, c, kind, kind_rate, cluster_radius, cluster_size,
+                )
+
+            wire_hit = wires[pick("wire", len(wires), w_rate)]
+            switch_hit = switches[pick("switch", len(switches), s_rate)]
+            tile_hit = [
+                tiles[i]
+                for i in pick("tile", len(tiles), l_rate).tolist()
+            ]
         return cls(
             c, wire_hit.tolist(), switch_hit.tolist(), tile_hit,
             model=model, rate=rate, seed=int(seed_val),
@@ -312,57 +291,63 @@ class DefectMap:
         )
 
 
+def _edge_pairs(
+    c: CompiledRRG, switch_defects: Sequence[int]
+) -> frozenset[tuple[int, int]]:
+    """``(src, dst)`` node pairs of the dead switch edges, gathered in
+    one pass over the defect ids."""
+    if not switch_defects:
+        return frozenset()
+    src = c.edge_src_ids()[list(switch_defects)].tolist()
+    return frozenset(zip(src, map(c.edge_dst.__getitem__, switch_defects)))
+
+
 def _clustered_pick(
     rng: np.random.Generator,
-    candidates: np.ndarray,
-    cand_x: np.ndarray,
-    cand_y: np.ndarray,
+    n: int,
+    c: CompiledRRG,
+    kind: str,
     rate: float,
-    params,
     cluster_radius: int,
     cluster_size: int,
 ) -> np.ndarray:
     """Spatially-clustered defect draw with uniform-matched expectation.
 
-    Draws ``k ~ Binomial(n, rate)`` total defects (the same marginal
-    count as the uniform model), then fills them cluster by cluster:
-    pick a random tile center, knock out up to ``cluster_size`` random
-    candidates within Manhattan distance ``cluster_radius``.  A bounded
-    retry count guards degenerate geometries; any remainder falls back
-    to uniform picks so the expected count always holds.
+    Returns ascending positions into the ``n`` candidates of ``kind``
+    (see :meth:`CompiledRRG.defect_neighbourhoods`).  Draws
+    ``k ~ Binomial(n, rate)`` total defects (the same marginal count as
+    the uniform model), then fills them cluster by cluster: pick a
+    random tile center, knock out up to ``cluster_size`` random
+    not-yet-taken candidates within Manhattan distance
+    ``cluster_radius``.  A bounded retry count guards degenerate
+    geometries; any remainder falls back to uniform picks so the
+    expected count always holds.
     """
-    n = len(candidates)
     if n == 0 or rate <= 0.0:
-        return candidates[:0]
+        return np.empty(0, dtype=np.int64)
     k = int(rng.binomial(n, min(rate, 1.0)))
     if k == 0:
-        return candidates[:0]
-    chosen: set[int] = set()  # positions into ``candidates``
+        return np.empty(0, dtype=np.int64)
+    table = c.defect_neighbourhoods(kind, cluster_radius)
+    stride = c.params.rows + 1
+    taken = np.zeros(n, dtype=bool)
+    n_taken = 0
     attempts = 0
-    while len(chosen) < k and attempts < 64 * (1 + k // max(1, cluster_size)):
+    while n_taken < k and attempts < 64 * (1 + k // max(1, cluster_size)):
         attempts += 1
-        cx = int(rng.integers(0, params.cols + 1))
-        cy = int(rng.integers(0, params.rows + 1))
-        near = np.flatnonzero(
-            (np.abs(cand_x - cx) + np.abs(cand_y - cy)) <= cluster_radius
-        )
-        near = near[~np.isin(near, np.fromiter(chosen, dtype=np.int64,
-                                               count=len(chosen)))] \
-            if chosen else near
+        cx = int(rng.integers(0, c.params.cols + 1))
+        cy = int(rng.integers(0, c.params.rows + 1))
+        near = table[cx * stride + cy]
+        near = near[~taken[near]]
         if len(near) == 0:
             continue
-        take = min(int(rng.integers(1, cluster_size + 1)), k - len(chosen),
+        take = min(int(rng.integers(1, cluster_size + 1)), k - n_taken,
                    len(near))
-        picked = rng.choice(near, size=take, replace=False)
-        chosen.update(int(p) for p in picked)
-    if len(chosen) < k:  # degenerate geometry: top up uniformly
-        rest = np.setdiff1d(
-            np.arange(n), np.fromiter(chosen, dtype=np.int64,
-                                      count=len(chosen)),
-        )
-        extra = rng.choice(rest, size=min(k - len(chosen), len(rest)),
+        taken[rng.choice(near, size=take, replace=False)] = True
+        n_taken += take
+    if n_taken < k:  # degenerate geometry: top up uniformly
+        rest = np.flatnonzero(~taken)
+        extra = rng.choice(rest, size=min(k - n_taken, len(rest)),
                            replace=False)
-        chosen.update(int(p) for p in extra)
-    idx = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
-    idx.sort()
-    return candidates[idx]
+        taken[extra] = True
+    return np.flatnonzero(taken)

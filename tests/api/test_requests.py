@@ -16,6 +16,12 @@ from repro.api import (
     YieldRequest,
     request_from_dict,
 )
+from repro.api.requests import (
+    YIELD_MAX_GRID,
+    YIELD_MAX_SPARE_TRACKS,
+    YIELD_MAX_TRIALS,
+    YIELD_MAX_WIDTH,
+)
 from repro.errors import RequestError
 
 ALL_REQUESTS = [
@@ -174,6 +180,36 @@ class TestRequestValidation:
     def test_negative_spares(self):
         with pytest.raises(RequestError, match="spare widths"):
             YieldRequest(spares=(-5,))
+
+    @pytest.mark.parametrize("field, top", [
+        ("grid", YIELD_MAX_GRID),
+        ("width", YIELD_MAX_WIDTH),
+        ("trials", YIELD_MAX_TRIALS),
+    ])
+    def test_yield_sizes_bounded(self, field, top):
+        assert getattr(YieldRequest(**{field: top}), field) == top
+        with pytest.raises(RequestError, match=field):
+            YieldRequest(**{field: top + 1})
+
+    def test_yield_sizes_bounded_below(self):
+        assert YieldRequest(trials=0).trials == 0
+        for field in ("grid", "width"):
+            with pytest.raises(RequestError, match=field):
+                YieldRequest(**{field: 0})
+        with pytest.raises(RequestError, match="trials"):
+            YieldRequest(trials=-1)
+
+    def test_spare_widths_bounded(self):
+        top = YIELD_MAX_SPARE_TRACKS
+        assert YieldRequest(spares=(0, top)).spares == (0, top)
+        with pytest.raises(RequestError, match="spare widths"):
+            YieldRequest(spares=(0, top + 1))
+
+    def test_unbounded_yield_payload_rejected(self):
+        d = YieldRequest().to_dict()
+        d["trials"] = 10 ** 9
+        with pytest.raises(RequestError, match="trials"):
+            request_from_dict(d)
 
     def test_bad_constants(self):
         with pytest.raises(RequestError, match="constants"):

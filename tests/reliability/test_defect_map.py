@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.arch.compiled import (
     KIND_CHANX,
@@ -11,6 +13,7 @@ from repro.arch.compiled import (
 )
 from repro.arch.params import ArchParams
 from repro.arch.rrg import build_rrg
+from repro.arch.shared import publish_substrate
 from repro.reliability import DefectMap
 
 PARAMS = ArchParams(cols=5, rows=5, channel_width=6, io_capacity=4)
@@ -167,3 +170,100 @@ class TestExplicitMap:
         assert d["switch_defects"] == 1
         assert d["logic_defects"] == 1
         assert d["total_defects"] == 3
+
+
+class TestNeighbourhoods:
+    @pytest.mark.parametrize("kind", ["wire", "switch", "tile"])
+    @pytest.mark.parametrize("radius", [0, 2])
+    def test_table_is_the_manhattan_ball(self, substrate, kind, radius):
+        if kind == "wire":
+            ids = substrate.wire_node_ids()
+            x, y = substrate.xlo_np[ids], substrate.ylo_np[ids]
+        elif kind == "switch":
+            src = substrate.edge_src_ids()[substrate.switch_edge_ids()]
+            x, y = substrate.xlo_np[src], substrate.ylo_np[src]
+        else:
+            x, y = np.array(substrate.logic_tiles()).T
+        table = substrate.defect_neighbourhoods(kind, radius)
+        assert len(table) == (PARAMS.cols + 1) * (PARAMS.rows + 1)
+        for cx in range(PARAMS.cols + 1):
+            for cy in range(PARAMS.rows + 1):
+                near = table[cx * (PARAMS.rows + 1) + cy]
+                assert near.dtype == np.int32
+                want = np.flatnonzero(
+                    np.abs(x - cx) + np.abs(y - cy) <= radius
+                )
+                np.testing.assert_array_equal(near, want)
+
+    def test_tables_are_cached_per_kind_and_radius(self, substrate):
+        a = substrate.defect_neighbourhoods("wire", 2)
+        assert substrate.defect_neighbourhoods("wire", 2) is a
+        assert substrate.defect_neighbourhoods("wire", 3) is not a
+
+    def test_unknown_kind_rejected(self, substrate):
+        with pytest.raises(ValueError):
+            substrate.defect_neighbourhoods("pad", 2)
+
+
+class TestSharedSubstrate:
+    """Clustered sampling on a shared-memory attached substrate (which
+    is built without ``__init__``) must equal sampling on the built
+    one, field for field."""
+
+    @pytest.mark.parametrize("rate", [0.05, 0.3, 1.0])
+    def test_attached_sample_matches_built(self, substrate, rate):
+        shm, handle = publish_substrate(substrate)
+        try:
+            view = handle.attach()
+            for s in range(3):
+                kw = dict(seed=s, model="clustered", cluster_radius=1)
+                want = DefectMap.sample(substrate, rate, **kw)
+                got = DefectMap.sample(view, rate, **kw)
+                np.testing.assert_array_equal(got.node_ok, want.node_ok)
+                assert got.bad_edge_pairs == want.bad_edge_pairs
+                assert got.edge_ok_bytes == want.edge_ok_bytes
+                assert got.to_dict() == want.to_dict()
+                assert got.wire_defects == want.wire_defects
+                assert got.switch_defects == want.switch_defects
+                assert got.bad_tiles == want.bad_tiles
+        finally:
+            shm.close()
+            shm.unlink()
+
+
+class TestSamplingProperties:
+    @seed(20051004)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=st.integers(1, 3),
+        width=st.integers(1, 4),
+        rate=st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]),
+        sample_seed=st.integers(0, 2 ** 31 - 1),
+        radius=st.integers(0, 5),
+        size=st.integers(1, 8),
+        model=st.sampled_from(["uniform", "clustered"]),
+    )
+    def test_ids_are_sorted_unique_candidates(
+        self, grid, width, rate, sample_seed, radius, size, model,
+    ):
+        c = flat_rrg_for(ArchParams(
+            cols=grid, rows=grid, channel_width=width, io_capacity=4,
+        ))
+        dm = DefectMap.sample(
+            c, rate, seed=sample_seed, model=model,
+            cluster_radius=radius, cluster_size=size,
+        )
+        wires = c.wire_node_ids().tolist()
+        switches = c.switch_edge_ids().tolist()
+        for got, pool in ((dm.wire_defects, wires),
+                          (dm.switch_defects, switches)):
+            assert list(got) == sorted(set(got))
+            assert set(got) <= set(pool)
+        assert {(t.x, t.y) for t in dm.bad_tiles} <= set(c.logic_tiles())
+        if rate == 0.0:
+            assert dm.is_clean
+            assert dm.node_ok.all()
+        if rate == 1.0:
+            assert list(dm.wire_defects) == wires
+            assert list(dm.switch_defects) == switches
+            assert len(dm.bad_tiles) == len(c.logic_tiles())
