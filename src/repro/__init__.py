@@ -20,12 +20,13 @@ The package splits into:
 - :mod:`repro.place` / :mod:`repro.route` — simulated-annealing placer
   (flat coordinate maps, cached net bounding boxes, precomputed
   per-grid distance tables) and PathFinder router with cross-context
-  route reuse.  Routing runs on the compiled RRG: array Dijkstra with
-  epoch-stamped scratch buffers and per-net bounding-box pruning; the
-  original object-graph router survives as
-  ``route_context_legacy``/``route_program_legacy`` and the public
-  entry points are thin adapters, so both paths produce identical
-  routes (pinned by the equivalence test suite).
+  route reuse.  Routing runs on the compiled RRG: one bucket-queue
+  (Dial) Dijkstra kernel with epoch-stamped scratch buffers and per-net
+  bounding-box pruning; the original heap-based object-graph router
+  survives as the reference ``route_context_legacy``/
+  ``route_program_legacy``, and the public entry points are thin
+  adapters, so both paths produce identical routes (pinned by the
+  equivalence test suite and by pinned route digests).
 - :mod:`repro.sim` — levelized, event-driven and multi-context
   (DPGA-schedule) simulators.
 - :mod:`repro.workloads` — circuit generators and multi-context

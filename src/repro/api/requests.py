@@ -33,15 +33,22 @@ ANALYTIC_AXES = ("change-rate", "contexts")
 #: Spatial defect models a yield campaign accepts.
 YIELD_MODELS = ("uniform", "clustered")
 
-#: Upper bounds on a yield campaign's size fields (inclusive).  A yield
-#: request arrives from any HTTP client, and its work grows with the
-#: grid area, the channel width, the trial count and the spare tracks
-#: each spare-width point adds, so each gets a finite cap far above
-#: every campaign the repo itself runs.
-YIELD_MAX_GRID = 32
-YIELD_MAX_WIDTH = 64
+#: Upper bounds on request size fields (inclusive).  A request arrives
+#: from any HTTP client, and its work grows with the grid area, the
+#: channel width and the context count (and, for a yield campaign, the
+#: trial count and the spare tracks each spare-width point adds), so
+#: each gets a finite cap far above every request the repo itself runs.
+#: ``MAX_GRID``/``MAX_WIDTH`` bound every grid-shaped request (yield,
+#: sweep, import, and the sweep's channel-width values); ``MAX_CONTEXTS``
+#: bounds every ``contexts`` field and the sweep's contexts values.
+MAX_GRID = 32
+MAX_WIDTH = 64
+MAX_CONTEXTS = 64
 YIELD_MAX_TRIALS = 4096
 YIELD_MAX_SPARE_TRACKS = 64
+
+#: The integer sweep axes, which size the device, and their value caps.
+_INTEGER_AXIS_CAPS = {"contexts": MAX_CONTEXTS, "channel-width": MAX_WIDTH}
 
 #: Default sweep values per axis (``values=None`` resolves to these).
 SWEEP_DEFAULTS = {
@@ -187,8 +194,9 @@ class _Request:
 
 
 def _check_contexts(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise RequestError(f"contexts must be a positive int, got {n!r}")
+    if not isinstance(n, int):
+        raise RequestError(f"contexts must be an int, got {n!r}")
+    _check_size("contexts", n, 1, MAX_CONTEXTS)
 
 
 def _check_fraction(name: str, v: float) -> None:
@@ -282,10 +290,8 @@ class SweepRequest(_Request):
                 f"what must be one of {SWEEP_AXES}, got {self.what!r}"
             )
         check_workload(self.workload)
-        if self.grid < 1:
-            raise RequestError(f"grid must be >= 1, got {self.grid!r}")
-        if self.width < 1:
-            raise RequestError(f"width must be >= 1, got {self.width!r}")
+        _check_size("grid", self.grid, 1, MAX_GRID)
+        _check_size("width", self.width, 1, MAX_WIDTH)
         if self.values is not None:
             if not self.values:
                 raise RequestError("values must be None or non-empty")
@@ -294,11 +300,13 @@ class SweepRequest(_Request):
                     raise RequestError(
                         f"sweep values must be numbers, got {v!r}"
                     )
-                if self.what in ("contexts", "channel-width") \
-                        and float(v) != int(v):
-                    raise RequestError(
-                        f"{self.what} values must be integers, got {v!r}"
-                    )
+                cap = _INTEGER_AXIS_CAPS.get(self.what)
+                if cap is not None:
+                    if float(v) != int(v):
+                        raise RequestError(
+                            f"{self.what} values must be integers, got {v!r}"
+                        )
+                    _check_size(f"{self.what} values", v, 1, cap)
             object.__setattr__(self, "values", tuple(self.values))
 
     @property
@@ -309,7 +317,7 @@ class SweepRequest(_Request):
         """The requested sweep values, or the axis defaults."""
         vals = self.values if self.values is not None \
             else SWEEP_DEFAULTS[self.what]
-        cast = int if self.what in ("contexts", "channel-width") else float
+        cast = int if self.what in _INTEGER_AXIS_CAPS else float
         return [cast(v) for v in vals]
 
 
@@ -342,8 +350,8 @@ class YieldRequest(_Request):
                 f"profile must be a bool, got {self.profile!r}"
             )
         check_workload(self.workload)
-        _check_size("grid", self.grid, 1, YIELD_MAX_GRID)
-        _check_size("width", self.width, 1, YIELD_MAX_WIDTH)
+        _check_size("grid", self.grid, 1, MAX_GRID)
+        _check_size("width", self.width, 1, MAX_WIDTH)
         if not self.rates:
             raise RequestError("rates must name at least one defect rate")
         object.__setattr__(
@@ -494,23 +502,23 @@ class ImportRequest(_Request):
             raise RequestError(
                 f"k must be an int in [2, 8], got {self.k!r}"
             )
-        if self.grid is not None and (
-            not isinstance(self.grid, int) or self.grid < 3
-        ):
-            raise RequestError(
-                f"grid must be None or an int >= 3, got {self.grid!r}"
-            )
+        if self.grid is not None:
+            if not isinstance(self.grid, int):
+                raise RequestError(
+                    f"grid must be None or an int, got {self.grid!r}"
+                )
+            _check_size("grid", self.grid, 3, MAX_GRID)
         if self.width is not None:
             if self.grid is None:
                 raise RequestError(
                     "width requires an explicit grid (auto-fit picks "
                     "its own channel width)"
                 )
-            if not isinstance(self.width, int) or self.width < 1:
+            if not isinstance(self.width, int):
                 raise RequestError(
-                    f"width must be None or a positive int, "
-                    f"got {self.width!r}"
+                    f"width must be None or an int, got {self.width!r}"
                 )
+            _check_size("width", self.width, 1, MAX_WIDTH)
 
 
 def request_total_rows(request) -> int:

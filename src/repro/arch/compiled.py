@@ -13,8 +13,10 @@ objects:
   ``edge_dst`` / ``edge_kind``.  Within each node's range, edges whose
   destination is a SINK are segregated *after* ``edge_mid[n]``, so the
   router's inner loop needs no per-edge kind test (relaxation order
-  within one node does not affect Dijkstra's result — heap order is
-  decided by ``(dist, node)`` values, not push order).
+  within one node does not affect Dijkstra's result — the bucket
+  queue's pop order is decided by ``(dist, node)`` values, not push
+  order).  A defective die's router drops dead switches from a copy of
+  these lists, keeping every surviving edge's order and side.
 - **node attribute arrays** — kind, capacity, wire length and the
   congestion *base cost* ``1.0 + 0.2 * (length - 1)`` precomputed per
   node.  The hot arrays are plain Python lists rather than
@@ -69,8 +71,9 @@ KIND_SINK = NODE_KIND_INDEX[NodeKind.SINK]
 KIND_CHANX = NODE_KIND_INDEX[NodeKind.CHANX]
 KIND_CHANY = NODE_KIND_INDEX[NodeKind.CHANY]
 
-#: Extra wire-length cost factor, mirrored from the legacy router's
-#: ``_CongestionState.node_cost`` so both paths price nodes identically.
+#: Extra wire-length cost factor.  The compiled base cost below and the
+#: legacy reference router's ``_CongestionState.node_cost`` both read
+#: it, so the two routing engines price nodes identically.
 LENGTH_COST_FACTOR = 0.2
 
 

@@ -11,8 +11,9 @@ and lowered to the arrays the compiled router consumes directly:
 - **wire defects** — a CHANX/CHANY segment is open/shorted; the node
   becomes unroutable (``node_ok`` mask);
 - **switch defects** — one programmable switch (PASS/BUF/PIN edge) is
-  dead; the CSR edge becomes untraversable (``edge_ok`` mask) while the
-  wires it joined stay usable through their other switches;
+  dead; the router leaves the CSR edge out of its adjacency (built from
+  the ``edge_ok_bytes`` mask) while the wires it joined stay usable
+  through their other switches;
 - **logic-site defects** — a tile's LB is broken; its logical
   SOURCE/SINK nodes are masked and the tile lands in :attr:`bad_tiles`,
   which the placer's ``forbidden`` parameter consumes during re-place
@@ -131,7 +132,8 @@ class DefectMap:
     @property
     def edge_ok_bytes(self) -> bytes | None:
         """Per-CSR-edge usability mask, ``None`` without switch defects
-        (the router then keeps its leaner no-edge-test loop)."""
+        (the router then searches the substrate's own adjacency instead
+        of a copy with the dead edges left out)."""
         if not self.switch_defects:
             return None
         if self._edge_ok_bytes is None:

@@ -14,19 +14,19 @@ rewards (paper Section 3).
 
 Two implementations share this module:
 
-- the **compiled engine** (default) — Dijkstra over the flat CSR arrays
-  of a :class:`~repro.arch.compiled.CompiledRRG`, with reusable scratch
+- the **compiled engine** (default) — one Dijkstra kernel,
+  :func:`_dijkstra_flat`, over the flat CSR arrays of a
+  :class:`~repro.arch.compiled.CompiledRRG`, with reusable scratch
   buffers reset by epoch stamping (no per-search allocation), per-net
   bounding-box pruning (with a full-graph fallback, so routability
   never regresses), and a bucket-queue priority queue (Dial's
-  algorithm) that visits nodes in exactly the binary heap's order —
+  algorithm) that visits nodes in exactly a binary heap's order —
   every effective cost is >= 1.0, so bucketing distances by integer
-  part preserves the pop order bit-for-bit (``REPRO_ROUTER_QUEUE=heap``
-  or :func:`set_router_queue` selects the reference heap);
+  part preserves the pop order bit-for-bit;
 - the **legacy object-graph router** (``route_context_legacy`` /
-  ``route_program_legacy``) — the original dict/set implementation,
-  kept verbatim as the reference for the equivalence tests and the
-  ``bench_engine_scaling`` baseline.
+  ``route_program_legacy``) — the original dict/set implementation
+  with a binary heap, kept verbatim as the reference for the
+  equivalence tests and the ``bench_engine_scaling`` baseline.
 
 ``route_context`` / ``route_program`` are thin adapters: they accept
 either graph representation, lower object graphs on first use (cached
@@ -37,26 +37,30 @@ whose legacy-optimal detour leaves the terminal box by more than
 ``BBOX_MARGIN`` tiles while a costlier in-box path exists.  The
 equivalence suite (``tests/route/test_compiled_equivalence.py``) pins
 bit-identical routes across its workloads, and the scaling bench
-asserts equal wirelength at every measured scale, so a divergence
-fails loudly rather than shipping silently.
+asserts the same per-net routes at every measured scale, so a
+divergence fails loudly rather than shipping silently.
 
 The compiled engine also accepts a
 :class:`~repro.reliability.defect_map.DefectMap` (``defects=``):
-defective wires/switches are excluded from every search and priced
-unroutable in the congestion state, which is what the defect-tolerant
-mapping and Monte Carlo yield subsystem (:mod:`repro.reliability`)
-rides on.  A clean map is normalised away up front, so defect-free
-routing takes the exact original code path.
+dead wires are masked out of every search and priced unroutable in the
+congestion state, and dead switches are left out of a per-call copy of
+the CSR adjacency (:func:`_live_adjacency`), so the same kernel serves
+both.  That is what the defect-tolerant mapping and Monte Carlo yield
+subsystem (:mod:`repro.reliability`) rides on.  A clean map is
+normalised away up front, so defect-free routing takes the exact
+original code path.  ``tests/route/data/route_digests.json`` pins the
+compiled routes (clean, defective, wavefront and warm-started) across
+commits.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -100,49 +104,6 @@ WARM_PRES_FAC = 8.0
 #: congestion stay inside the box on realistic fabrics; when a search
 #: still fails inside the box it is retried unpruned.
 BBOX_MARGIN = 3
-
-#: Environment variable selecting the router's priority queue.
-ROUTER_QUEUE_ENV = "REPRO_ROUTER_QUEUE"
-
-#: Valid queue implementations: ``"dial"`` (bucket queue, the default)
-#: and ``"heap"`` (binary heap, the reference).
-ROUTER_QUEUES = ("dial", "heap")
-
-
-def _queue_from_env() -> str:
-    q = os.environ.get(ROUTER_QUEUE_ENV, "dial").strip().lower()
-    return q if q in ROUTER_QUEUES else "dial"
-
-
-#: Active priority-queue implementation.  Every effective node cost is
-#: >= 1.0 (base cost >= 1.0, congestion multiplier >= 1, history >= 0),
-#: so Dijkstra distances can be bucketed by their integer part (Dial's
-#: algorithm): a relaxation from distance ``d`` lands at ``d + cost >=
-#: d + 1.0`` — strictly past bucket ``int(d)`` — so draining each
-#: bucket in sorted ``(dist, node)`` order reproduces the binary heap's
-#: pop order *exactly*, and routes are bit-identical by construction
-#: (the equivalence suite pins this).  Occupied bucket indices are kept
-#: in a small index heap, so sparse distance ranges (late PathFinder
-#: iterations price congested nodes very high) cost nothing to skip.
-#: Defaults on; ``REPRO_ROUTER_QUEUE=heap`` (or
-#: :func:`set_router_queue`) restores the binary heap.
-ROUTER_QUEUE = _queue_from_env()
-
-
-def set_router_queue(queue: str) -> str:
-    """Select the router priority queue (``"dial"`` / ``"heap"``).
-
-    Returns the previous setting so tests can restore it.
-    """
-    global ROUTER_QUEUE
-    if queue not in ROUTER_QUEUES:
-        raise ValueError(
-            f"queue must be one of {ROUTER_QUEUES}, got {queue!r}"
-        )
-    previous = ROUTER_QUEUE
-    ROUTER_QUEUE = queue
-    return previous
-
 
 @dataclass
 class RoutedNet:
@@ -350,9 +311,9 @@ class _FlatCongestion:
     whole graph — every other node's stored value is ``base * 1.0 +
     history`` with both terms unchanged, which is what a full refresh
     would recompute bit-for-bit.  All arithmetic matches the legacy
-    router bit-for-bit (the acceptance gate is equal wirelength, but
-    the refresh uses the exact same IEEE operations, so routes stay
-    identical in practice — the equivalence suite pins this).
+    router bit-for-bit: the refresh uses the exact same IEEE
+    operations, so routes stay identical (the equivalence suite and
+    the route digests pin this).
     """
 
     __slots__ = (
@@ -512,147 +473,12 @@ class _FlatCongestion:
         self._reprice_pressured()
 
 
-def _dijkstra_flat(
-    c: CompiledRRG,
-    state: _FlatCongestion,
-    tree_nodes: set[int],
-    target: int,
-    scratch: RouterScratch,
-    mask: bytes | None,
-) -> list[int] | None:
-    """Shortest path from the route tree to ``target`` over flat arrays.
-
-    ``mask`` is a per-node 0/1 membership mask (the net's expanded
-    bounding box); zero-mask nodes are never relaxed.  Returns ``None``
-    when ``target`` is unreachable inside the mask (the caller retries
-    unmasked); mirrors the legacy router's cost arithmetic and
-    tie-breaking exactly otherwise — the full congestion formula is
-    pre-folded into ``state.eff``, so a relax is one load + one add.
-    """
-    scratch.epoch += 1
-    ep = scratch.epoch
-    dist, prev, stamp = scratch.dist, scratch.prev, scratch.stamp
-    eff = state.eff
-    estart, emid, edst = c.edge_start, c.edge_mid, c.edge_dst
-
-    heap: list[tuple[float, int]] = []
-    push = heapq.heappush
-    pop = heapq.heappop
-    pops = 0
-    for n in tree_nodes:
-        stamp[n] = ep
-        dist[n] = 0.0
-        push(heap, (0.0, n))
-    while heap:
-        d, nid = pop(heap)
-        pops += 1
-        if d > dist[nid] and stamp[nid] == ep:
-            continue
-        if nid == target:
-            path = [nid]
-            tail = nid
-            while tail not in tree_nodes:
-                tail = prev[tail]
-                path.append(tail)
-            path.reverse()
-            _tcount("router.pops", pops, queue="heap")
-            return path
-        lo, mid, hi = estart[nid], emid[nid], estart[nid + 1]
-        # non-SINK destinations (bulk of the fan-out, no kind test needed)
-        for nxt in edst[lo:mid]:
-            if mask is not None and not mask[nxt]:
-                continue
-            nd = d + eff[nxt]
-            if stamp[nxt] != ep or nd < dist[nxt]:
-                stamp[nxt] = ep
-                dist[nxt] = nd
-                prev[nxt] = nid
-                push(heap, (nd, nxt))
-        # SINK destinations: only the net's own target is enterable
-        for nxt in edst[mid:hi]:
-            if nxt != target:
-                continue
-            nd = d + eff[nxt]
-            if stamp[nxt] != ep or nd < dist[nxt]:
-                stamp[nxt] = ep
-                dist[nxt] = nd
-                prev[nxt] = nid
-                push(heap, (nd, nxt))
-    _tcount("router.pops", pops, queue="heap")
-    return None
-
-
-def _dijkstra_flat_edges(
-    c: CompiledRRG,
-    state: _FlatCongestion,
-    tree_nodes: set[int],
-    target: int,
-    scratch: RouterScratch,
-    mask: bytes | None,
-    edge_ok: bytes,
-) -> list[int] | None:
-    """:func:`_dijkstra_flat` with a per-edge usability mask.
-
-    Only used when a defect map contains *switch* (edge) defects — the
-    common healthy/wire-defect paths keep the leaner loop that never
-    materialises edge indexes.  Identical cost arithmetic and
-    tie-breaking otherwise, so an all-ones ``edge_ok`` reproduces
-    :func:`_dijkstra_flat` exactly.
-    """
-    scratch.epoch += 1
-    ep = scratch.epoch
-    dist, prev, stamp = scratch.dist, scratch.prev, scratch.stamp
-    eff = state.eff
-    estart, emid, edst = c.edge_start, c.edge_mid, c.edge_dst
-
-    heap: list[tuple[float, int]] = []
-    push = heapq.heappush
-    pop = heapq.heappop
-    pops = 0
-    for n in tree_nodes:
-        stamp[n] = ep
-        dist[n] = 0.0
-        push(heap, (0.0, n))
-    while heap:
-        d, nid = pop(heap)
-        pops += 1
-        if d > dist[nid] and stamp[nid] == ep:
-            continue
-        if nid == target:
-            path = [nid]
-            tail = nid
-            while tail not in tree_nodes:
-                tail = prev[tail]
-                path.append(tail)
-            path.reverse()
-            _tcount("router.pops", pops, queue="heap")
-            return path
-        lo, mid, hi = estart[nid], emid[nid], estart[nid + 1]
-        for ei in range(lo, mid):
-            if not edge_ok[ei]:
-                continue
-            nxt = edst[ei]
-            if mask is not None and not mask[nxt]:
-                continue
-            nd = d + eff[nxt]
-            if stamp[nxt] != ep or nd < dist[nxt]:
-                stamp[nxt] = ep
-                dist[nxt] = nd
-                prev[nxt] = nid
-                push(heap, (nd, nxt))
-        for ei in range(mid, hi):
-            nxt = edst[ei]
-            if nxt != target or not edge_ok[ei]:
-                continue
-            nd = d + eff[nxt]
-            if stamp[nxt] != ep or nd < dist[nxt]:
-                stamp[nxt] = ep
-                dist[nxt] = nd
-                prev[nxt] = nid
-                push(heap, (nd, nxt))
-    _tcount("router.pops", pops, queue="heap")
-    return None
-
+#: A node's CSR adjacency as ``(edge_start, edge_mid, edge_dst)``:
+#: ``edge_dst[edge_start[n]:edge_mid[n]]`` are its non-SINK successors
+#: and ``edge_dst[edge_mid[n]:edge_start[n + 1]]`` its SINK successors.
+#: Either the substrate's own lists or a copy without dead switches
+#: (:func:`_live_adjacency`).
+Adjacency = tuple[list[int], list[int], list[int]]
 
 #: Bucket index for infinitely-priced nodes (defect pricing).  Every
 #: real caller mask-excludes such nodes, so this bucket only exists to
@@ -661,30 +487,38 @@ def _dijkstra_flat_edges(
 _INF_BUCKET = float("inf")
 
 
-def _dijkstra_flat_dial(
-    c: CompiledRRG,
+def _dijkstra_flat(
+    adj: Adjacency,
     state: _FlatCongestion,
     tree_nodes: set[int],
     target: int,
     scratch: RouterScratch,
     mask: bytes | None,
 ) -> list[int] | None:
-    """:func:`_dijkstra_flat` with a bucket queue (Dial's algorithm).
+    """Shortest path from the route tree to ``target`` over CSR arrays.
 
-    Every effective node cost is >= 1.0, so a relaxation from distance
-    ``d`` lands strictly past bucket ``int(d)``; draining buckets in
-    index order, each sorted by ``(dist, node)``, visits nodes in
-    exactly the binary heap's pop order — same routes, bit for bit.
-    Occupied bucket indices live in a small index heap (``order``), so
-    the sparse distance ranges of late PathFinder iterations cost
-    nothing to scan; pushes are an append instead of an O(log n)
-    sift.
+    ``mask`` is a per-node 0/1 membership mask (the net's expanded
+    bounding box, with defects folded in); zero-mask nodes are never
+    relaxed.  Returns ``None`` when ``target`` is unreachable inside the
+    mask (the caller retries unmasked).  The full congestion formula is
+    pre-folded into ``state.eff``, so a relax is one load + one add.
+
+    The priority queue is a bucket queue (Dial's algorithm).  Every
+    effective node cost is >= 1.0 (base cost >= 1.0, congestion
+    multiplier >= 1, history >= 0), so a relaxation from distance ``d``
+    lands strictly past bucket ``int(d)``; draining buckets in index
+    order, each sorted by ``(dist, node)``, visits nodes in exactly a
+    binary heap's pop order — so the cost arithmetic and tie-breaking
+    match the legacy router's :func:`_dijkstra_to_sink`.  Occupied
+    bucket indices live in a small index heap (``order``), so the
+    sparse distance ranges of late PathFinder iterations cost nothing
+    to scan; pushes are an append instead of an O(log n) sift.
     """
     scratch.epoch += 1
     ep = scratch.epoch
     dist, prev, stamp = scratch.dist, scratch.prev, scratch.stamp
     eff = state.eff
-    estart, emid, edst = c.edge_start, c.edge_mid, c.edge_dst
+    estart, emid, edst = adj
 
     first: list[tuple[float, int]] = []
     buckets: dict[float, list[tuple[float, int]]] = {0: first}
@@ -710,7 +544,7 @@ def _dijkstra_flat_dial(
                     tail = prev[tail]
                     path.append(tail)
                 path.reverse()
-                _tcount("router.pops", pops, queue="dial")
+                _tcount("router.pops", pops)
                 return path
             lo, mid, hi = estart[nid], emid[nid], estart[nid + 1]
             # non-SINK destinations (bulk of the fan-out)
@@ -745,91 +579,33 @@ def _dijkstra_flat_dial(
                         push_order(order, bi)
                     else:
                         b.append((nd, nxt))
-    _tcount("router.pops", pops, queue="dial")
+    _tcount("router.pops", pops)
     return None
 
 
-def _dijkstra_flat_edges_dial(
-    c: CompiledRRG,
-    state: _FlatCongestion,
-    tree_nodes: set[int],
-    target: int,
-    scratch: RouterScratch,
-    mask: bytes | None,
-    edge_ok: bytes,
-) -> list[int] | None:
-    """:func:`_dijkstra_flat_edges` with the bucket queue of
-    :func:`_dijkstra_flat_dial` (same cost arithmetic and visiting
-    order as the heap variant; adds the per-edge usability test)."""
-    scratch.epoch += 1
-    ep = scratch.epoch
-    dist, prev, stamp = scratch.dist, scratch.prev, scratch.stamp
-    eff = state.eff
-    estart, emid, edst = c.edge_start, c.edge_mid, c.edge_dst
+def _live_adjacency(
+    c: CompiledRRG, defects: "DefectMap | None"
+) -> Adjacency:
+    """``c``'s CSR adjacency without the die's dead switches.
 
-    first: list[tuple[float, int]] = []
-    buckets: dict[float, list[tuple[float, int]]] = {0: first}
-    order: list[float] = [0]
-    push_order = heapq.heappush
-    pop_order = heapq.heappop
-    pops = 0
-    for n in tree_nodes:
-        stamp[n] = ep
-        dist[n] = 0.0
-        first.append((0.0, n))
-    while order:
-        bucket = buckets.pop(pop_order(order))
-        bucket.sort()
-        for d, nid in bucket:
-            pops += 1
-            if d > dist[nid] and stamp[nid] == ep:
-                continue
-            if nid == target:
-                path = [nid]
-                tail = nid
-                while tail not in tree_nodes:
-                    tail = prev[tail]
-                    path.append(tail)
-                path.reverse()
-                _tcount("router.pops", pops, queue="dial")
-                return path
-            lo, mid, hi = estart[nid], emid[nid], estart[nid + 1]
-            for ei in range(lo, mid):
-                if not edge_ok[ei]:
-                    continue
-                nxt = edst[ei]
-                if mask is not None and not mask[nxt]:
-                    continue
-                nd = d + eff[nxt]
-                if stamp[nxt] != ep or nd < dist[nxt]:
-                    stamp[nxt] = ep
-                    dist[nxt] = nd
-                    prev[nxt] = nid
-                    bi = int(nd) if nd != _INF_BUCKET else _INF_BUCKET
-                    b = buckets.get(bi)
-                    if b is None:
-                        buckets[bi] = [(nd, nxt)]
-                        push_order(order, bi)
-                    else:
-                        b.append((nd, nxt))
-            for ei in range(mid, hi):
-                nxt = edst[ei]
-                if nxt != target or not edge_ok[ei]:
-                    continue
-                nd = d + eff[nxt]
-                if stamp[nxt] != ep or nd < dist[nxt]:
-                    stamp[nxt] = ep
-                    dist[nxt] = nd
-                    prev[nxt] = nid
-                    bi = int(nd) if nd != _INF_BUCKET else _INF_BUCKET
-                    b = buckets.get(bi)
-                    if b is None:
-                        buckets[bi] = [(nd, nxt)]
-                        push_order(order, bi)
-                    else:
-                        b.append((nd, nxt))
-    _tcount("router.pops", pops, queue="dial")
-    return None
+    Defect-free dies (and dies with only wire/logic defects) get the
+    substrate's own lists.  Otherwise the dead edges are dropped and
+    the range bounds re-indexed through one cumulative sum over the
+    edge mask: every surviving edge keeps its order and its
+    non-SINK/SINK side, so a search over the copy relaxes exactly the
+    edges — in exactly the order — that a per-edge usability test over
+    the full lists would.
+    """
+    edge_ok = defects.edge_ok_bytes if defects is not None else None
+    if edge_ok is None:
+        return c.edge_start, c.edge_mid, c.edge_dst
+    kept_before = np.zeros(len(edge_ok) + 1, dtype=np.int64)
+    np.cumsum(np.frombuffer(edge_ok, dtype=np.uint8), out=kept_before[1:])
+    return (
+        kept_before[c.edge_start].tolist(),
+        kept_before[c.edge_mid].tolist(),
+        list(compress(c.edge_dst, edge_ok)),  # shares the substrate's ints
+    )
 
 
 def _net_bbox(
@@ -869,6 +645,7 @@ def _net_mask(
 
 def _route_net_flat(
     c: CompiledRRG,
+    adj: Adjacency,
     state: _FlatCongestion,
     name: str,
     source: int,
@@ -876,30 +653,22 @@ def _route_net_flat(
     scratch: RouterScratch,
     mask: bytes | None,
     base_mask: bytes | None = None,
-    edge_ok: bytes | None = None,
     retry: bool = True,
     seed_paths: dict[int, list[int]] | None = None,
 ) -> RoutedNet | None:
-    """Route one net.  ``mask`` is the net's (defect-combined) prune
-    mask; ``base_mask`` is the defect-only floor the full-graph retry
-    must keep honouring (``None`` without defects), and ``edge_ok``
-    switches to the per-edge Dijkstra variant when switch defects
-    exist.  ``retry=False`` (the wavefront path) returns ``None``
-    instead of retrying unmasked/raising — a failed wave net must be
-    re-run sequentially, where the full-graph retry sees every earlier
-    net's congestion.
+    """Route one net over ``adj`` (the die's live CSR adjacency, see
+    :func:`_live_adjacency`).  ``mask`` is the net's (defect-combined)
+    prune mask; ``base_mask`` is the defect-only floor the full-graph
+    retry must keep honouring (``None`` without defects).
+    ``retry=False`` (the wavefront path) returns ``None`` instead of
+    retrying unmasked/raising — a failed wave net must be re-run
+    sequentially, where the full-graph retry sees every earlier net's
+    congestion.
 
     ``seed_paths`` (delta-reroute) pre-adopts known-good source→sink
     branches — the healthy portion of a dirty net's golden route —
     so only the broken sinks are searched, and those searches start
     from the salvaged tree instead of the bare source."""
-    dial = ROUTER_QUEUE == "dial"
-    if edge_ok is None:
-        search = _dijkstra_flat_dial if dial else _dijkstra_flat
-    else:
-        edges_search = _dijkstra_flat_edges_dial if dial \
-            else _dijkstra_flat_edges
-        search = lambda *a: edges_search(*a, edge_ok)  # noqa: E731
     net = RoutedNet(name, source, list(sinks))
     net.nodes = {source}
     if seed_paths:
@@ -911,11 +680,13 @@ def _route_net_flat(
     for sink in sinks:
         if sink in net.sink_paths:
             continue
-        path = search(c, state, net.nodes, sink, scratch, mask)
+        path = _dijkstra_flat(adj, state, net.nodes, sink, scratch, mask)
         if path is None and retry and mask is not base_mask:
             # the pruned region disconnected this sink — retry without
             # the bounding box (defective resources stay excluded)
-            path = search(c, state, net.nodes, sink, scratch, base_mask)
+            path = _dijkstra_flat(
+                adj, state, net.nodes, sink, scratch, base_mask
+            )
         if path is None:
             if not retry:
                 return None
@@ -991,13 +762,13 @@ def _boxes_interact(
 
 def _route_initial_waves(
     c: CompiledRRG,
+    adj: Adjacency,
     state: _FlatCongestion,
     endpoints: list[tuple[str, int, list[int]]],
     reuse: dict[str, RoutedNet] | None,
     routes: dict[str, RoutedNet],
     mask_for,
     base_mask: bytes | None,
-    edge_ok: bytes | None,
     scratch: RouterScratch,
     workers: int,
     seeds: dict[str, dict[int, list[int]]] | None = None,
@@ -1035,8 +806,8 @@ def _route_initial_waves(
         name, source, sinks, mask = entry
         with SCRATCH_POOL.lease(c.n_nodes) as sc:
             return _route_net_flat(
-                c, state, name, source, sinks, sc, mask, base_mask,
-                edge_ok, retry=False,
+                c, adj, state, name, source, sinks, sc, mask, base_mask,
+                retry=False,
             )
 
     def commit_usage() -> None:
@@ -1057,8 +828,8 @@ def _route_initial_waves(
         if len(wave) == 1:
             name, source, sinks, mask = wave[0]
             commit(name, _route_net_flat(
-                c, state, name, source, sinks, scratch, mask, base_mask,
-                edge_ok,
+                c, adj, state, name, source, sinks, scratch, mask,
+                base_mask,
             ))
         else:
             if pool is None:
@@ -1077,8 +848,8 @@ def _route_initial_waves(
                 commit_usage()  # sequential redo searches read state
                 for name, source, sinks, mask in wave[redo_from:]:
                     net = _route_net_flat(
-                        c, state, name, source, sinks, scratch, mask,
-                        base_mask, edge_ok,
+                        c, adj, state, name, source, sinks, scratch, mask,
+                        base_mask,
                     )
                     routes[name] = net
                     state.add(net.nodes)
@@ -1113,8 +884,8 @@ def _route_initial_waves(
                 flush()
                 commit_usage()
                 commit(name, _route_net_flat(
-                    c, state, name, source, sinks, scratch,
-                    mask_for(name, source, sinks), base_mask, edge_ok,
+                    c, adj, state, name, source, sinks, scratch,
+                    mask_for(name, source, sinks), base_mask,
                     seed_paths=seed_paths,
                 ))
                 continue
@@ -1307,7 +1078,7 @@ def _route_context_compiled(
         # carry an infinite history term that dominates regardless.
         state.pres_fac = WARM_PRES_FAC
     base_mask = defects.node_ok_bytes if defects is not None else None
-    edge_ok = defects.edge_ok_bytes if defects is not None else None
+    adj = _live_adjacency(c, defects)
     routes: dict[str, RoutedNet] = {}
     # prune masks are built lazily: a reused net only needs one if it is
     # ripped up later, and mask construction is O(n_nodes) per net
@@ -1329,8 +1100,8 @@ def _route_context_compiled(
 
     if workers is not None and workers > 1 and len(endpoints) > 1:
         _route_initial_waves(
-            c, state, endpoints, reuse, routes, mask_for, base_mask,
-            edge_ok, scratch, workers, seeds or None,
+            c, adj, state, endpoints, reuse, routes, mask_for, base_mask,
+            scratch, workers, seeds or None,
         )
     else:
         # runs of consecutive adopted (reused) routes commit their
@@ -1357,8 +1128,8 @@ def _route_context_compiled(
                 state.add_batch(pending)
                 pending.clear()
             net = _route_net_flat(
-                c, state, name, source, sinks, scratch,
-                mask_for(name, source, sinks), base_mask, edge_ok,
+                c, adj, state, name, source, sinks, scratch,
+                mask_for(name, source, sinks), base_mask,
                 seed_paths=seeds.get(sig) if seeds else None,
             )
             routes[name] = net
@@ -1384,8 +1155,8 @@ def _route_context_compiled(
                 continue
             state.remove(net.nodes)
             fresh = _route_net_flat(
-                c, state, name, net.source, net.sinks, scratch,
-                mask_for(name, net.source, net.sinks), base_mask, edge_ok,
+                c, adj, state, name, net.source, net.sinks, scratch,
+                mask_for(name, net.source, net.sinks), base_mask,
             )
             routes[name] = fresh
             state.add(fresh.nodes)

@@ -10,6 +10,7 @@ from repro.api import (
     AreaRequest,
     BatchRequest,
     ExecutionConfig,
+    ImportRequest,
     MapRequest,
     ReorderRequest,
     SweepRequest,
@@ -17,10 +18,12 @@ from repro.api import (
     request_from_dict,
 )
 from repro.api.requests import (
-    YIELD_MAX_GRID,
+    MAX_CONTEXTS,
+    MAX_GRID,
+    MAX_WIDTH,
+    SWEEP_DEFAULTS,
     YIELD_MAX_SPARE_TRACKS,
     YIELD_MAX_TRIALS,
-    YIELD_MAX_WIDTH,
 )
 from repro.errors import RequestError
 
@@ -182,8 +185,8 @@ class TestRequestValidation:
             YieldRequest(spares=(-5,))
 
     @pytest.mark.parametrize("field, top", [
-        ("grid", YIELD_MAX_GRID),
-        ("width", YIELD_MAX_WIDTH),
+        ("grid", MAX_GRID),
+        ("width", MAX_WIDTH),
         ("trials", YIELD_MAX_TRIALS),
     ])
     def test_yield_sizes_bounded(self, field, top):
@@ -204,6 +207,52 @@ class TestRequestValidation:
         assert YieldRequest(spares=(0, top)).spares == (0, top)
         with pytest.raises(RequestError, match="spare widths"):
             YieldRequest(spares=(0, top + 1))
+
+    @pytest.mark.parametrize("field, top", [
+        ("grid", MAX_GRID),
+        ("width", MAX_WIDTH),
+    ])
+    def test_sweep_sizes_bounded(self, field, top):
+        assert getattr(SweepRequest(**{field: top}), field) == top
+        with pytest.raises(RequestError, match=field):
+            SweepRequest(**{field: top + 1})
+        with pytest.raises(RequestError, match=field):
+            SweepRequest(**{field: 0})
+
+    @pytest.mark.parametrize("axis, top", [
+        ("channel-width", MAX_WIDTH),
+        ("contexts", MAX_CONTEXTS),
+    ])
+    def test_sweep_axis_values_bounded(self, axis, top):
+        ok = SweepRequest(what=axis, values=(1, top))
+        assert ok.resolved_values() == [1, top]
+        for bad in (top + 1, 0):
+            with pytest.raises(RequestError, match=f"{axis} values"):
+                SweepRequest(what=axis, values=(2, bad))
+
+    def test_default_sweep_values_within_caps(self):
+        for axis in ("channel-width", "contexts"):
+            SweepRequest(what=axis, values=SWEEP_DEFAULTS[axis])
+
+    @pytest.mark.parametrize("cls", [
+        MapRequest, BatchRequest, AreaRequest, ReorderRequest,
+    ])
+    def test_contexts_bounded(self, cls):
+        assert cls(contexts=MAX_CONTEXTS).contexts == MAX_CONTEXTS
+        for bad in (MAX_CONTEXTS + 1, 0):
+            with pytest.raises(RequestError, match="contexts"):
+                cls(contexts=bad)
+
+    def test_import_sizes_bounded(self):
+        src = ({"text": ".model m\n.end\n", "format": "blif"},)
+        ok = ImportRequest(sources=src, grid=MAX_GRID, width=MAX_WIDTH)
+        assert (ok.grid, ok.width) == (MAX_GRID, MAX_WIDTH)
+        with pytest.raises(RequestError, match="grid"):
+            ImportRequest(sources=src, grid=MAX_GRID + 1)
+        with pytest.raises(RequestError, match="grid"):
+            ImportRequest(sources=src, grid=2)
+        with pytest.raises(RequestError, match="width"):
+            ImportRequest(sources=src, grid=5, width=MAX_WIDTH + 1)
 
     def test_unbounded_yield_payload_rejected(self):
         d = YieldRequest().to_dict()

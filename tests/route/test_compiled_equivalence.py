@@ -4,8 +4,13 @@ The compiled engine must be a pure speedup: on every workload it has to
 produce the *same routes* as the legacy object-graph PathFinder — same
 wirelength, same node sets, same functional-verification outcome.  Both
 engines share cost arithmetic and tie-breaking by construction; these
-tests pin that property across 3 workloads x 2 grid sizes.
+tests pin that property across 3 workloads x 2 grid sizes, on narrow
+channels (one case needs several rip-up iterations), and on defective
+dies (the legacy router then runs over an object graph with the dead
+resources cut out).
 """
+
+import copy
 
 import pytest
 
@@ -14,8 +19,11 @@ from repro.arch.params import ArchParams
 from repro.arch.rrg import build_rrg
 from repro.core.fpga import MultiContextFPGA
 from repro.netlist.techmap import tech_map
-from repro.place.placer import place_program
+from repro.place.placer import place, place_program
+from repro.reliability import DefectMap
 from repro.route.pathfinder import (
+    route_context_compiled,
+    route_context_legacy,
     route_program,
     route_program_compiled,
     route_program_legacy,
@@ -26,6 +34,22 @@ from repro.workloads.multicontext import mutated_program, temporal_partition
 GRIDS = [
     ArchParams(cols=5, rows=5, channel_width=8, io_capacity=4),
     ArchParams(cols=7, rows=7, channel_width=8, io_capacity=4),
+]
+
+#: Narrow channels and a wide one; ``random-congested`` needs three
+#: PathFinder iterations (late iterations price nodes very high, which
+#: is the bucket queue's sparse-distance regime).
+TIGHT_CASES = [
+    ("random-congested", ArchParams(cols=5, rows=5, channel_width=4,
+                                    io_capacity=4),
+     lambda: random_dag(6, 18, 6, seed=3)),
+    ("adder-tight", ArchParams(cols=5, rows=5, channel_width=5,
+                               io_capacity=4), lambda: ripple_adder(3)),
+    ("random-tight", ArchParams(cols=6, rows=6, channel_width=6,
+                                io_capacity=4),
+     lambda: random_dag(5, 14, 4, seed=11)),
+    ("crc-wide", ArchParams(cols=6, rows=6, channel_width=10,
+                            io_capacity=4), lambda: crc_step(6)),
 ]
 
 
@@ -101,6 +125,74 @@ class TestRoutedEquivalence:
                 device.configure_program(prog, pls, routes)
                 for c in range(prog.n_contexts):
                     device.verify_against_source(c, n_vectors=8, seed=9)
+
+
+def _assert_same_routes(a, b, label):
+    """Route-for-route identity of two single-context routings."""
+    assert a.iterations == b.iterations, label
+    assert set(a.nets) == set(b.nets), label
+    for name, net in a.nets.items():
+        other = b.nets[name]
+        assert other.nodes == net.nodes, f"{label}:{name}"
+        assert other.edges == net.edges, f"{label}:{name}"
+        assert other.sink_paths == net.sink_paths, f"{label}:{name}"
+        assert other.reused == net.reused, f"{label}:{name}"
+
+
+class TestTightChannels:
+    @pytest.mark.parametrize("name,params,circuit", TIGHT_CASES,
+                             ids=[case[0] for case in TIGHT_CASES])
+    def test_matches_legacy(self, name, params, circuit):
+        g = build_rrg(params)
+        netlist = tech_map(circuit(), k=4)
+        pl = place(netlist, params, seed=2, effort=0.3)
+        legacy = route_context_legacy(g, netlist, pl)
+        compiled = route_context_compiled(compile_rrg(g), netlist, pl)
+        _assert_same_routes(legacy, compiled, name)
+        if name == "random-congested":
+            assert compiled.iterations == 3
+
+
+def _without_defects(g, dm):
+    """Shallow copy of ``g`` whose ``out_edges`` leave out every edge
+    into a dead node and every dead switch."""
+    node_ok, bad = dm.node_ok, dm.bad_edge_pairs
+    pruned = copy.copy(g)
+    pruned.out_edges = [
+        [(dst, kind) for dst, kind in edges
+         if node_ok[dst] and (src, dst) not in bad]
+        for src, edges in enumerate(g.out_edges)
+    ]
+    return pruned
+
+
+class TestDefectsVsLegacy:
+    """Compiled routing around a die's dead wires and switches equals
+    the legacy router on the graph with those resources removed."""
+
+    @pytest.mark.parametrize("model", ("uniform", "clustered"))
+    def test_pruned_graph(self, model):
+        params = GRIDS[1]
+        g = build_rrg(params)
+        c = compile_rrg(g)
+        for wl, prog in _workloads().items():
+            netlist = prog.contexts[0]
+            pl = place(netlist, params, seed=3, effort=0.3)
+            for rate in (0.02, 0.05):
+                for seed in (0, 1, 2):
+                    dm = DefectMap.sample(
+                        c, rate, seed=seed, model=model, logic_rate=0.0
+                    )
+                    assert dm.wire_defects and dm.switch_defects
+                    legacy = route_context_legacy(
+                        _without_defects(g, dm), netlist, pl
+                    )
+                    compiled = route_context_compiled(
+                        c, netlist, pl, defects=dm
+                    )
+                    _assert_same_routes(
+                        legacy, compiled, f"{wl}/{model}/{rate}/{seed}"
+                    )
 
 
 class TestDefectMaskNeutrality:

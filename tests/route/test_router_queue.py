@@ -1,13 +1,11 @@
-"""Bucket-queue (Dial) router core: bit-identity with the binary heap.
+"""Router core: targeted re-pricing and wavefront initial routing.
 
-The Dial queue is a pure speedup: every effective node cost is >= 1.0,
-so bucketing Dijkstra distances by integer part and draining each
-bucket in ``(dist, node)`` order visits nodes in exactly the binary
-heap's pop order.  These tests pin that the routes (not just the
-wirelengths) are identical under both queues — including congested
-runs whose escalated costs spread distances across sparse buckets —
-and that the targeted congestion re-price reproduces the whole-graph
-refresh bit-for-bit.
+These tests pin that the targeted congestion re-price reproduces the
+whole-graph refresh bit-for-bit, and that routing the initial pass in
+parallel wavefronts gives the sequential routes — including congested
+runs whose escalated costs spread distances across sparse buckets of
+the bucket-queue search.  Route identity with the legacy heap-based
+router lives in ``test_compiled_equivalence.py``.
 """
 
 import numpy as np
@@ -18,12 +16,7 @@ from repro.arch.params import ArchParams
 from repro.netlist.techmap import tech_map
 from repro.place.placer import place
 from repro.route import pathfinder
-from repro.route.pathfinder import (
-    ROUTER_QUEUES,
-    _FlatCongestion,
-    route_context_compiled,
-    set_router_queue,
-)
+from repro.route.pathfinder import _FlatCongestion, route_context_compiled
 from repro.reliability.defect_map import DefectMap
 from repro.workloads.generators import crc_step, random_dag, ripple_adder
 
@@ -41,13 +34,6 @@ CASES = [
 ]
 
 
-@pytest.fixture
-def heap_queue():
-    prev = set_router_queue("heap")
-    yield
-    set_router_queue(prev)
-
-
 def _route(params, circuit, **kw):
     netlist = tech_map(circuit(), k=4)
     c = flat_rrg_for(params)
@@ -63,55 +49,6 @@ def _assert_identical(a, b):
         assert other.nodes == net.nodes, name
         assert other.edges == net.edges, name
         assert other.sink_paths == net.sink_paths, name
-
-
-class TestQueueEquivalence:
-    @pytest.mark.parametrize("name,params,circuit", CASES)
-    def test_dial_routes_bit_identical_to_heap(self, name, params, circuit):
-        prev = set_router_queue("dial")
-        try:
-            dial = _route(params, circuit)
-            set_router_queue("heap")
-            heap = _route(params, circuit)
-        finally:
-            set_router_queue(prev)
-        _assert_identical(dial, heap)
-
-    def test_dial_with_defects_matches_heap(self):
-        params = ArchParams(cols=6, rows=6, channel_width=8, io_capacity=4)
-        netlist = tech_map(random_dag(5, 12, 4, seed=3), k=4)
-        c = flat_rrg_for(params)
-        pl = place(netlist, params, seed=2, effort=0.3)
-        dm = DefectMap.sample(c, 0.03, seed=9)
-        prev = set_router_queue("dial")
-        try:
-            dial = route_context_compiled(c, netlist, pl, defects=dm)
-            set_router_queue("heap")
-            heap = route_context_compiled(c, netlist, pl, defects=dm)
-        finally:
-            set_router_queue(prev)
-        _assert_identical(dial, heap)
-
-    def test_set_router_queue_returns_previous(self):
-        prev = set_router_queue("heap")
-        try:
-            assert pathfinder.ROUTER_QUEUE == "heap"
-            assert set_router_queue("dial") == "heap"
-        finally:
-            set_router_queue(prev)
-
-    def test_set_router_queue_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_router_queue("fibonacci")
-
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.delenv(pathfinder.ROUTER_QUEUE_ENV, raising=False)
-        assert pathfinder._queue_from_env() == "dial"
-        monkeypatch.setenv(pathfinder.ROUTER_QUEUE_ENV, "heap")
-        assert pathfinder._queue_from_env() == "heap"
-        monkeypatch.setenv(pathfinder.ROUTER_QUEUE_ENV, "bogus")
-        assert pathfinder._queue_from_env() == "dial"
-        assert set(ROUTER_QUEUES) == {"dial", "heap"}
 
 
 class TestTargetedReprice:

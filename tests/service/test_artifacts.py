@@ -1,6 +1,7 @@
 """ArtifactStore: schema-contract persistence, resume keys, corruption."""
 
 import json
+import threading
 
 import pytest
 
@@ -54,6 +55,33 @@ class TestPaths:
 
     def test_safe_name_plain_names_unchanged(self):
         assert _safe_name("ci-smoke") == "ci-smoke"
+
+    def test_concurrent_writes_of_one_artifact(self, tmp_path):
+        # two jobs with the same request commit the same content-keyed
+        # file at once; neither write may lose the other's temp file
+        store = ArtifactStore(tmp_path)
+        barrier = threading.Barrier(4)
+        errors = []
+
+        def write(i):
+            barrier.wait()
+            try:
+                for _ in range(50):
+                    store._write_json("requests/same.json", {"i": i})
+            except Exception as exc:  # noqa: BLE001 - collected below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(i,))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert errors == []
+        assert json.loads(store.read_bytes("requests/same.json"))["i"] \
+            in range(4)
+        assert sorted(p.name for p in (tmp_path / "requests").iterdir()) \
+            == ["same.json"]
 
 
 class TestRequestArtifacts:
